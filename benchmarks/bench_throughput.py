@@ -130,32 +130,26 @@ def _timed_traced_run(points) -> tuple:
 def _timed_attack_run(records: int, batched: bool) -> tuple:
     """One attack-heavy run: PARA over hmmer at the bench scale.
 
-    ``REPRO_BATCH_MITIGATION`` is read once at controller construction,
-    so toggling it here selects the batched fast path or the scalar
-    reference oracle for the whole run — the two must produce
-    bit-identical :class:`SimMetrics`.
+    ``batch_scope`` is read once at controller construction, so
+    clearing it on the instance selects the scalar reference oracle for
+    the whole run instead of the batched fast path — the two must
+    produce bit-identical :class:`SimMetrics`.
     """
     from repro.dram.config import DRAMConfig
     from repro.mitigations.para import PARA
 
-    previous = os.environ.get("REPRO_BATCH_MITIGATION")
-    os.environ["REPRO_BATCH_MITIGATION"] = "1" if batched else "0"
-    try:
-        mitigation = PARA(rows_per_bank=DRAMConfig().scaled(SCALE).rows_per_bank)
-        started = time.perf_counter()
-        metrics = run_workload(
-            get_workload(ATTACK_WORKLOAD),
-            mitigation,
-            scale=SCALE,
-            records_per_core=records,
-            seed=0,
-        )
-        return metrics, time.perf_counter() - started
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_BATCH_MITIGATION", None)
-        else:
-            os.environ["REPRO_BATCH_MITIGATION"] = previous
+    mitigation = PARA(rows_per_bank=DRAMConfig().scaled(SCALE).rows_per_bank)
+    if not batched:
+        mitigation.batch_scope = None
+    started = time.perf_counter()
+    metrics = run_workload(
+        get_workload(ATTACK_WORKLOAD),
+        mitigation,
+        scale=SCALE,
+        records_per_core=records,
+        seed=0,
+    )
+    return metrics, time.perf_counter() - started
 
 
 def _timed_controller_run(records: int, reps: int) -> dict:

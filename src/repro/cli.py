@@ -46,13 +46,16 @@ from repro.mitigations import (
     Graphene,
     IdealVictimRefresh,
     NoMitigation,
+    PARA,
     TWiCe,
     TargetedRowRefresh,
 )
 from repro.utils.units import format_seconds
 from repro.workloads import ALL_WORKLOADS, get_workload
 
-DEFENSES = ("none", "rrs", "graphene", "twice", "trr", "ideal-vfm", "blockhammer")
+DEFENSES = (
+    "none", "rrs", "graphene", "twice", "trr", "para", "ideal-vfm", "blockhammer",
+)
 ATTACKS = ("single", "double", "many", "half-double")
 
 
@@ -75,6 +78,8 @@ def _build_defense(name: str, scale: int, t_rh: int, rows: int):
         return TWiCe(t_rh=scaled_t_rh, window_ns=dram.refresh_window_ns, rows_per_bank=rows)
     if name == "trr":
         return TargetedRowRefresh(rows_per_bank=rows)
+    if name == "para":
+        return PARA.for_threshold(scaled_t_rh, rows_per_bank=rows)
     if name == "ideal-vfm":
         return IdealVictimRefresh(t_rh=scaled_t_rh, rows_per_bank=rows)
     if name == "blockhammer":
@@ -114,6 +119,8 @@ def _attack_defense(name: str, t_rh: int, rows: int):
         return TWiCe(t_rh=t_rh, mitigation_threshold=t_rh // 4, rows_per_bank=rows)
     if name == "trr":
         return TargetedRowRefresh(rows_per_bank=rows)
+    if name == "para":
+        return PARA.for_threshold(t_rh, rows_per_bank=rows)
     if name == "ideal-vfm":
         return IdealVictimRefresh(
             t_rh=t_rh, mitigation_threshold=t_rh // 4, rows_per_bank=rows

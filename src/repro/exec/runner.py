@@ -206,10 +206,9 @@ class SweepPoint:
         Deliberately excludes ``records_per_core``: trace generators
         are seeded independently of length, so two points differing
         only in record count replay bit-identical prefixes and may fork
-        from each other's warm-start checkpoints. It *includes* the
-        behaviour-shaping env toggles (sanitizer state is part of a
-        checkpoint; batching changes mitigation-internal layouts) that
-        the result cache rightly ignores.
+        from each other's warm-start checkpoints. It *includes*
+        ``REPRO_SANITIZE``, which the result cache rightly ignores:
+        sanitizer state is part of a checkpoint.
         """
         from repro.state.checkpoint import run_fingerprint
 
@@ -222,9 +221,6 @@ class SweepPoint:
                 "seed": point.seed,
                 "env": {
                     "REPRO_SANITIZE": os.environ.get("REPRO_SANITIZE", "0"),
-                    "REPRO_BATCH_MITIGATION": os.environ.get(
-                        "REPRO_BATCH_MITIGATION", "1"
-                    ),
                 },
             }
         )

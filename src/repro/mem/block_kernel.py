@@ -101,22 +101,8 @@ def hit_run_times(
     return data, data + line_transfer_ns
 
 
-def _adopt_block(core, inst_base: int) -> Tuple[list, list]:
-    """Issue-time precompute for the core's currently loaded block.
-
-    ``(gap / retire_width) * cycle_ns`` and the instruction cumsum are
-    elementwise, so the numpy results equal the scalar per-record
-    expressions exactly (integer division and multiply are both
-    correctly rounded in IEEE-754 double).
-    """
-    gaps = core._gap_block
-    deltas = ((gaps / core._retire_width) * core._cycle_ns).tolist()
-    inst_after = (inst_base + np.cumsum(gaps.astype(np.int64) + 1)).tolist()
-    return deltas, inst_after
-
-
 # repro-oracle: system-loop -- kernel
-def run_block_loop(sim, cores) -> None:
+def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
     """Fused system loop over columnar cores; mutates ``sim`` in place.
 
     Bit-identical to ``SystemSimulator._run_scalar`` (the oracle): the
@@ -128,7 +114,14 @@ def run_block_loop(sim, cores) -> None:
     protocol checks still see every command; unobserved open-page banks
     run on flat SoA timing lists. Eligibility is decided by
     ``SystemSimulator._block_loop_eligible``.
+
+    Services at most ``budget`` (positive) requests, or all of them
+    when it is None, and returns how many it serviced. State is read
+    from the live objects on entry and written back on exit exactly as
+    the scalar loop leaves it after the same request, so a checkpoint
+    cut between two calls is the same whichever loop ran.
     """
+    stop = -1 if budget is None else budget
     config = sim.config.dram
     mitigation = sim.mitigation
     channels = sim.channels
@@ -270,26 +263,40 @@ def run_block_loop(sim, cores) -> None:
     c_flats: list = [None] * n_cores
     c_deltas: list = [None] * n_cores
     c_inst_after: list = [None] * n_cores
+    # Raw block of each core's last lean load: its scalar views are
+    # decoded from it on exit.
+    c_block: list = [None] * n_cores
 
-    heap = []
-    for core_id, core in enumerate(cores):
-        if not core._has_pending:
-            continue
+    def adopt(core_id: int, inst_issued: int, idx: int) -> None:
+        # Cursors and issue-time precompute for the core's loaded block.
+        # ``inst_issued`` is the instruction count before record ``idx``
+        # (the pending one), so the kernel can enter mid-block.
+        # ``(gap / retire_width) * cycle_ns`` and the instruction cumsum
+        # are elementwise, so the numpy results equal the scalar
+        # per-record expressions exactly (integer division and multiply
+        # are both correctly rounded in IEEE-754 double).
+        core = cores[core_id]
+        gaps = core._gap_block
+        steps = np.cumsum(gaps.astype(np.int64) + 1)
+        inst_base = inst_issued - (int(steps[idx - 1]) if idx else 0)
+        c_deltas[core_id] = ((gaps / core._retire_width) * core._cycle_ns).tolist()
+        c_inst_after[core_id] = (inst_base + steps).tolist()
         c_writes[core_id] = core._writes
         c_rows[core_id] = core._rows
         c_flats[core_id] = core._flats
         c_len[core_id] = core._len
-        c_idx[core_id] = core._idx
-        deltas, inst_after = _adopt_block(core, c_inst[core_id])
-        c_deltas[core_id] = deltas
-        c_inst_after[core_id] = inst_after
-        # First issue: core time is 0 and no loads are outstanding, so
-        # next_issue_time reduces to the retire-width delta.
-        heap.append((c_time[core_id] + deltas[c_idx[core_id]], core_id))
+
+    heap = []
+    for core_id, core in enumerate(cores):
+        if core._has_pending:
+            c_idx[core_id] = core._idx
+            adopt(core_id, c_inst[core_id], core._idx)
+            heap.append((core.next_issue_time(), core_id))
     heapq.heapify(heap)
 
     heappop = heapq.heappop
     heappushpop = heapq.heappushpop
+    serviced = 0
 
     # The scalar loop pops at the top and pushes the core's next issue
     # at the bottom; fusing the two into one heappushpop halves the
@@ -456,21 +463,24 @@ def run_block_loop(sim, cores) -> None:
         if not is_write:
             out.append((inst_index, completion))
 
+        serviced += 1
         nxt = idx + 1
         if nxt >= c_len[core_id]:
-            core = cores[core_id]
-            if not core._load_block_lean():
+            block = cores[core_id]._load_block_lean()
+            if block is None:
+                if serviced == stop:
+                    break
                 item = heappop(heap) if heap else None
                 continue
-            c_writes[core_id] = core._writes
-            c_rows[core_id] = core._rows
-            c_flats[core_id] = core._flats
-            c_len[core_id] = core._len
-            deltas, inst_after = _adopt_block(core, inst_index)
-            c_deltas[core_id] = deltas
-            c_inst_after[core_id] = inst_after
+            c_block[core_id] = block
+            adopt(core_id, inst_index, 0)
             nxt = 0
         c_idx[core_id] = nxt
+        if serviced == stop:
+            # Budget spent: leave this core's next record pending with
+            # no issue time and its ROB unpopped, as the scalar loop
+            # leaves it between complete() and next_issue_time().
+            break
         issue_at = arrival + c_deltas[core_id][nxt]
         next_index = c_inst_after[core_id][nxt]
         rob_size = c_rob[core_id]
@@ -505,10 +515,20 @@ def run_block_loop(sim, cores) -> None:
     refresh._next_refi_ns = next_refi
     refresh._next_window_ns = next_window
     refresh.next_due_ns = min(next_refi, next_window)
+    # Cores still queued keep their computed issue time; the core that
+    # was serviced last (on a budget exit) and finished cores have none.
+    pending = {core_id: issue_at for issue_at, core_id in heap}
     for core_id, core in enumerate(cores):
+        if c_deltas[core_id] is None:
+            continue  # never entered the loop
+        if c_block[core_id] is not None:
+            core._decode_views(c_block[core_id])
+        idx = c_idx[core_id]
         core.time_ns = c_time[core_id]
         core.instructions_retired = c_retired[core_id]
         core._inst_issued = c_inst[core_id]
-        core._idx = c_idx[core_id]
-        core._has_pending = False
-        core._pending_issue_ns = None
+        core._idx = idx
+        core._has_pending = not core._exhausted
+        core._pending_gap = core._gaps[idx]
+        core._pending_issue_ns = pending.get(core_id)
+    return serviced

@@ -10,7 +10,6 @@ row swaps.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +115,10 @@ class MemoryController:
         # Batched activation path (DESIGN.md §9). Hook-override flags
         # let the hot loop skip virtual calls that are base no-ops
         # (NoMitigation pays nothing; only BlockHammer pays the
-        # pre-activate probe; only RRS pays the route lookup). The env
-        # toggle deliberately lives outside SystemConfig: batched and
-        # scalar runs are bit-identical, so the switch must not perturb
-        # result-cache keys.
+        # pre-activate probe; only RRS pays the route lookup). A
+        # mitigation opts out of batching with ``batch_scope = None``;
+        # batched and scalar runs are bit-identical, so the choice never
+        # reaches result-cache keys.
         mitigation_type = type(mitigation)
         self._has_route = mitigation_type.route is not Mitigation.route
         self._has_pre_delay = (
@@ -132,9 +131,7 @@ class MemoryController:
         self._batch = None
         self._batch_global = False
         self._route_tables = None
-        if mitigation.batch_scope is not None and os.environ.get(
-            "REPRO_BATCH_MITIGATION", "1"
-        ) != "0":
+        if mitigation.batch_scope is not None:
             keys = [
                 (channel.index, bank.rank, bank.index)
                 for bank in self._bank_table

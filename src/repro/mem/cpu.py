@@ -345,8 +345,10 @@ class Core:
         if self._chunked:
             idx = self._idx + 1
             if idx >= self._len:
-                if not self._load_block():
+                block = self._next_block()
+                if block is None:
                     return
+                self._decode_views(block)
                 idx = 0
             self._idx = idx
             self._has_pending = True
@@ -363,20 +365,24 @@ class Core:
         self._pending_addr = record.address
         self._pending_write = record.is_write
 
-    def _load_block(self) -> bool:
-        """Pull and batch-decode the next columnar block.
-
-        ``tolist()`` converts every column to plain Python scalars once
-        per block, so the per-request loop indexes lists of ints/bools —
-        the exact values the scalar front end would have produced.
-        """
+    def _next_block(self):
+        """The source's next non-empty block, or None once exhausted
+        (which also marks the core exhausted)."""
         block = self._source.next_block()
         while block is not None and len(block) == 0:
             block = self._source.next_block()
         if block is None:
             self._exhausted = True
             self._has_pending = False
-            return False
+        return block
+
+    def _decode_views(self, block) -> None:
+        """Install ``block`` as the loaded block's scalar column views.
+
+        ``tolist()`` converts every column to plain Python scalars once
+        per block, so the per-request loop indexes lists of ints/bools —
+        the exact values the scalar front end would have produced.
+        """
         addresses = block["address"]
         # The raw gap column is kept for the block kernel's issue-time
         # precompute (repro.mem.block_kernel); the scalar front end
@@ -393,30 +399,26 @@ class Core:
         self._cols = columns.column.tolist()
         self._flats = columns.flat_bank.tolist()
         self._len = len(self._gaps)
-        return True
 
-    def _load_block_lean(self) -> bool:
+    def _load_block_lean(self):
         """Block load for the fused block kernel: converts only the
         columns the kernel reads (write flags, rows, flat banks, plus
-        the raw gap array for its issue-time precompute). The scalar
-        front end's views (_gaps/_addrs/_chans/...) are left stale, so
-        ``issue``/``_fetch`` must not run until a full ``_load_block``
-        — the kernel drives the core to exhaustion itself.
+        the raw gap array for its issue-time precompute) and returns
+        the raw block, or None once the source is exhausted. The scalar
+        front end's views (_gaps/_addrs/_chans/...) are left stale
+        until the kernel hands the block to :meth:`_decode_views` on
+        exit.
         """
-        block = self._source.next_block()
-        while block is not None and len(block) == 0:
-            block = self._source.next_block()
+        block = self._next_block()
         if block is None:
-            self._exhausted = True
-            self._has_pending = False
-            return False
+            return None
         self._gap_block = block["gap"]
         self._writes = block["is_write"].tolist()
         columns = self._mapper.decode_batch(block["address"])
         self._rows = columns.row.tolist()
         self._flats = columns.flat_bank.tolist()
         self._len = len(self._writes)
-        return True
+        return block
 
     def _issue_time_for(self, gap: int) -> float:
         """When this record's memory access reaches the memory system.

@@ -103,11 +103,11 @@ class SystemSimulator:
         the run ends when every trace is exhausted and drained.
 
         ``checkpoints`` is an optional
-        :class:`~repro.state.checkpoint.CheckpointSession`: the run then
-        takes the scalar loop (cut points need per-request granularity;
-        scalar and block loops are bit-identical, so results do not
-        change), restores the session's resume checkpoint before the
-        first request, and cuts wherever the session asks.
+        :class:`~repro.state.checkpoint.CheckpointSession`: the run
+        restores the session's resume checkpoint before the first
+        request and cuts wherever the session asks. Cuts do not pick
+        the loop: either loop is run in request-budgeted segments up to
+        the next cut, and both leave identical state between requests.
         """
         if len(traces) != self.config.cores:
             raise ValueError(
@@ -127,15 +127,45 @@ class SystemSimulator:
             )
             for core_id, trace in enumerate(traces)
         ]
-        if checkpoints is not None:
-            self._run_checkpointed(cores, checkpoints)
-        elif self._block_loop_eligible(cores):
-            run_block_loop(self, cores)
+        if self._block_loop_eligible(cores):
+            loop = run_block_loop
         else:
-            self._run_scalar(cores)
+            loop = SystemSimulator._run_scalar
+        if checkpoints is None:
+            loop(self, cores)
+        else:
+            self._run_segments(loop, cores, checkpoints)
         for core in cores:
             core.drain()
         return self._collect(cores, workload)
+
+    def _run_segments(self, loop, cores: List[Core], session) -> None:
+        """Drive ``loop`` from cut to cut of a checkpoint session.
+
+        A cut lands *between* requests: after one request completes and
+        before the serviced core's next issue time is computed, which is
+        exactly where a budgeted loop returns and where either loop
+        re-enters (the heap is rebuilt from each core's
+        ``next_issue_time``; ``(issue_at, core_id)`` is a strict total
+        order, so pop order is independent of heap layout).
+        """
+        resume = session.resume
+        if resume is not None:
+            self.restore_payload(cores, resume.payload)
+            serviced = resume.serviced
+        else:
+            serviced = 0
+            if session.wants(0):
+                session.save(0, self.checkpoint_payload(cores))
+        while True:
+            cut = session.next_cut(serviced)
+            if cut is None:
+                loop(self, cores)
+                return
+            serviced += loop(self, cores, cut - serviced)
+            if serviced != cut:
+                return  # every trace ran out before the cut
+            session.save(serviced, self.checkpoint_payload(cores))
 
     # ------------------------------------------------------------------
     # Checkpoint/restore (repro.state)
@@ -199,112 +229,6 @@ class SystemSimulator:
                 "taken without it"
             )
 
-    def checkpoint(
-        self,
-        cores: List[Core],
-        serviced: int,
-        fingerprint: str = "",
-        meta=None,
-    ):
-        """One :class:`~repro.state.checkpoint.SimCheckpoint` of this
-        simulator mid-run (``cores`` are the run's Core objects)."""
-        from repro.state.checkpoint import SimCheckpoint
-
-        return SimCheckpoint(
-            fingerprint=fingerprint,
-            serviced=serviced,
-            payload=self.checkpoint_payload(cores),
-            meta=dict(meta or {}),
-        )
-
-    @classmethod
-    def from_checkpoint(
-        cls,
-        checkpoint,
-        traces: Sequence[Iterator[TraceRecord]],
-        config: Optional[SystemConfig] = None,
-        mitigation: Optional[Mitigation] = None,
-        workload: str = "",
-        checkpoints=None,
-    ) -> SimMetrics:
-        """Build a fresh simulator, restore ``checkpoint``, finish the run.
-
-        ``traces`` and ``config``/``mitigation`` must describe the same
-        run the checkpoint was cut from (the caller vouches via the
-        fingerprint); the returned :class:`SimMetrics` is bit-identical
-        to the uninterrupted run's. ``checkpoints`` optionally supplies
-        a pre-built session (for extra cuts while finishing); its
-        ``resume`` is set to ``checkpoint``.
-        """
-        from repro.state.checkpoint import CheckpointSession
-
-        simulator = cls(config=config, mitigation=mitigation)
-        if checkpoints is None:
-            checkpoints = CheckpointSession(
-                fingerprint=checkpoint.fingerprint, resume=checkpoint
-            )
-        else:
-            checkpoints.resume = checkpoint
-            checkpoints.resumed_from = checkpoint.serviced
-        return simulator.run(traces, workload=workload, checkpoints=checkpoints)
-
-    def _run_checkpointed(self, cores: List[Core], session) -> None:
-        """Scalar loop with serviced-request counting and cut points.
-
-        Mirrors ``_run_scalar`` exactly — the only additions are the
-        serviced counter, the resume restore before the first request,
-        and the cut-point checks. A cut lands *between* requests: after
-        ``core.complete`` and before the next heap push, which is also
-        where the resume path re-enters (the heap is rebuilt from each
-        core's ``next_issue_time``; ``(issue_at, core_id)`` is a strict
-        total order, so pop order is independent of heap layout).
-        """
-        serviced = 0
-        resume = session.resume
-        if resume is not None:
-            self.restore_payload(cores, resume.payload)
-            serviced = resume.serviced
-        elif session.wants(0):
-            session.save(0, self.checkpoint_payload(cores))
-
-        infinity = float("inf")
-        heap = []
-        for core in cores:
-            issue_at = core.next_issue_time()
-            if issue_at < infinity:
-                heap.append((issue_at, core.core_id))
-        heapq.heapify(heap)
-
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        refresh = self.refresh
-        advance_refresh = refresh.advance_to
-        refresh_due = refresh.next_due_ns
-        decode = self.mapper.decode
-        controllers = self.controllers
-        resumed_from = session.resumed_from
-
-        while heap:
-            _, core_id = heappop(heap)
-            core = cores[core_id]
-            request = core.issue()
-            arrival = request.arrival_ns
-            if arrival >= refresh_due:
-                advance_refresh(arrival)
-                refresh_due = refresh.next_due_ns
-            decoded = request.decoded
-            if decoded is None:  # scalar front end: decode here
-                decoded = decode(request.address)
-                request.decoded = decoded
-            controllers[decoded.channel].service(request)
-            core.complete(request)
-            serviced += 1
-            if serviced != resumed_from and session.wants(serviced):
-                session.save(serviced, self.checkpoint_payload(cores))
-            issue_at = core.next_issue_time()
-            if issue_at < infinity:
-                heappush(heap, (issue_at, core_id))
-
     def _block_loop_eligible(self, cores: List[Core]) -> bool:
         """Whether this run can take the fused block kernel.
 
@@ -314,12 +238,10 @@ class SystemSimulator:
         servicing, and no postponed refreshes. Observability probes
         need per-request objects, so traced runs stay scalar; the
         sanitizer's chained observers are supported (observed banks are
-        serviced through ``Bank.access`` inside the kernel). The env
-        toggle lives outside SystemConfig so result-cache keys never
+        serviced through ``Bank.access`` inside the kernel). The choice
+        depends only on the run's own setup, so result-cache keys never
         depend on which loop ran.
         """
-        if os.environ.get("REPRO_BLOCK_CONTROLLER", "1") == "0":
-            return False
         if self.obs is not None:
             return False
         refresh = self.refresh
@@ -333,8 +255,13 @@ class SystemSimulator:
         )
 
     # repro-oracle: system-loop -- oracle
-    def _run_scalar(self, cores: List[Core]) -> None:
-        """Reference per-request loop (the block kernel's oracle)."""
+    def _run_scalar(self, cores: List[Core], budget: Optional[int] = None) -> int:
+        """Reference per-request loop (the block kernel's oracle).
+
+        Services at most ``budget`` (positive) requests, or all of them
+        when it is None, and returns how many it serviced.
+        """
+        stop = -1 if budget is None else budget
         # A core sits in the heap iff it has a pending record
         # (next_issue_time is +inf exactly when it is done), so the loop
         # needs no explicit done checks.
@@ -358,6 +285,7 @@ class SystemSimulator:
         refresh_due = refresh.next_due_ns
         decode = self.mapper.decode
         controllers = self.controllers
+        serviced = 0
 
         while heap:
             _, core_id = heappop(heap)
@@ -373,9 +301,13 @@ class SystemSimulator:
                 request.decoded = decoded
             controllers[decoded.channel].service(request)
             core.complete(request)
+            serviced += 1
+            if serviced == stop:
+                break
             issue_at = core.next_issue_time()
             if issue_at < infinity:
                 heappush(heap, (issue_at, core_id))
+        return serviced
 
     # ------------------------------------------------------------------
     # Metrics

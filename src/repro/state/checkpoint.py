@@ -5,7 +5,7 @@ config *fingerprint* (the SHA-256 canonical key of everything that
 shapes the simulation — workload, system config, mitigation recipe,
 seed, and the behaviour-relevant env toggles), the number of requests
 serviced at the cut, and the pure-data payload assembled by
-:meth:`SystemSimulator.checkpoint`.
+:meth:`SystemSimulator.checkpoint_payload`.
 
 :class:`CheckpointStore` persists checkpoints with the result cache's
 conventions: rooted under the cache dir (``$REPRO_CACHE_DIR`` or
@@ -248,6 +248,14 @@ class CheckpointSession:
         if serviced in self.cuts:
             return True
         return bool(self.every) and serviced > 0 and serviced % self.every == 0
+
+    def next_cut(self, serviced: int) -> Optional[int]:
+        """The first serviced count above ``serviced`` to cut at, or
+        None when the session asks for no further cut."""
+        later = [cut for cut in self.cuts if cut > serviced]
+        if self.every:
+            later.append((serviced // self.every + 1) * self.every)
+        return min(later, default=None)
 
     def save(self, serviced: int, payload: Any) -> SimCheckpoint:
         """Wrap a payload as a checkpoint and hand it to the sink."""

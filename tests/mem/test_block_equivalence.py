@@ -3,10 +3,11 @@
 Two oracle pairs are exercised here by their registered names:
 
 * ``run_block_loop`` (the fused system loop) against
-  ``SystemSimulator._run_scalar`` — full simulations with the
-  ``REPRO_BLOCK_CONTROLLER`` toggle flipped, across every mitigation
-  and representative workloads, with and without ``REPRO_SANITIZE=1``
-  and with the fault model attached;
+  ``SystemSimulator._run_scalar`` — full simulations with
+  ``SystemSimulator._block_loop_eligible`` patched to False for the
+  oracle side, across every mitigation and representative workloads,
+  with and without ``REPRO_SANITIZE=1`` and with the fault model
+  attached;
 * ``MemoryController.service_block`` against scalar ``service`` —
   fuzzed synthetic blocks driven through twin controllers, covering
   coupled and uncoupled arrival cadences, writes, and row misses.
@@ -15,7 +16,9 @@ Plus a property test of ``same_bank_runs``, the segmentation primitive
 both kernels rest on.
 """
 
+import contextlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +40,8 @@ from repro.mitigations.graphene import Graphene
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import PARA
 from repro.mitigations.trr import TargetedRowRefresh
+from repro.obs import Observability, RingSink, Tracer
+from repro.state.checkpoint import CheckpointSession
 from repro.workloads.suites import get_workload
 from repro.workloads.trace import TRACE_BLOCK_DTYPE
 
@@ -75,24 +80,33 @@ def _factories(scale=SCALE):
 
 
 def _run(factory, block, workload="hmmer", records=RECORDS, seed=0,
-         env=None, with_faults=False):
+         env=None, with_faults=False, checkpoints=None):
+    """One run on the kernel (``block``) or on the scalar oracle loop,
+    selected by patching the eligibility check."""
     saved = {}
-    updates = {"REPRO_BLOCK_CONTROLLER": "1" if block else "0"}
-    if env:
-        updates.update(env)
-    for key, value in updates.items():
+    for key, value in (env or {}).items():
         saved[key] = os.environ.get(key)
         os.environ[key] = value
     try:
-        return run_workload(
-            get_workload(workload),
-            factory(),
-            scale=SCALE,
-            records_per_core=records,
-            cores=CORES,
-            seed=seed,
-            with_faults=with_faults,
-        )
+        with contextlib.ExitStack() as stack:
+            if not block:
+                stack.enter_context(
+                    mock.patch.object(
+                        SystemSimulator,
+                        "_block_loop_eligible",
+                        lambda self, cores: False,
+                    )
+                )
+            return run_workload(
+                get_workload(workload),
+                factory(),
+                scale=SCALE,
+                records_per_core=records,
+                cores=CORES,
+                seed=seed,
+                with_faults=with_faults,
+                checkpoints=checkpoints,
+            )
     finally:
         for key, value in saved.items():
             if value is None:
@@ -151,23 +165,54 @@ class TestBlockLoopEquivalence:
         scalar = _run(factory, block=False, seed=seed)
         assert block.to_dict() == scalar.to_dict()
 
-    def test_env_toggle_selects_the_loop(self, monkeypatch):
-        """The dispatch itself: REPRO_BLOCK_CONTROLLER=0 must route to
-        _run_scalar, the default to run_block_loop."""
+    def test_dispatch_follows_the_run_setup(self, monkeypatch):
+        """The dispatch itself, with no env variable set: untraced runs
+        take run_block_loop whether or not they are checkpointed, and a
+        traced run takes _run_scalar."""
+        for key in ("REPRO_TRACE", "REPRO_SANITIZE"):
+            monkeypatch.delenv(key, raising=False)
         calls = []
         monkeypatch.setattr(
             SystemSimulator,
             "_run_scalar",
-            lambda self, cores: calls.append("scalar"),
+            lambda self, cores, budget=None: calls.append("scalar") or 0,
         )
         monkeypatch.setattr(
             "repro.mem.system.run_block_loop",
-            lambda sim, cores: calls.append("block"),
+            lambda sim, cores, budget=None: calls.append("block") or 0,
         )
-        factory = _factories()["none"]
-        _run(factory, block=True, records=200)
-        _run(factory, block=False, records=200)
-        assert calls == ["block", "scalar"]
+
+        def run(**kwargs):
+            run_workload(
+                get_workload("hmmer"),
+                NoMitigation(),
+                scale=SCALE,
+                records_per_core=200,
+                cores=CORES,
+                **kwargs,
+            )
+            return calls.pop()
+
+        assert run() == "block"
+        assert run(checkpoints=CheckpointSession(every=100)) == "block"
+        obs = Observability(tracer=Tracer(RingSink()), export_extra=False)
+        assert run(obs=obs) == "scalar"
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["none", "rrs"])
+    def test_unaligned_cuts_match_plain_run(self, name):
+        """Checkpointed kernel runs cut every 257 requests (never on a
+        block boundary, crossing several 4096-record blocks per core)
+        and still finish bit-identical to a plain run."""
+        factory = _factories()[name]
+        saved = []
+        session = CheckpointSession(
+            every=257, sink=lambda ckpt: saved.append(ckpt.serviced)
+        )
+        cut = _run(factory, block=True, records=4_500, checkpoints=session)
+        plain = _run(factory, block=True, records=4_500)
+        assert cut.to_dict() == plain.to_dict()
+        assert saved == list(range(257, 4_500 * CORES, 257))
 
 
 class TestServiceBlockEquivalence:

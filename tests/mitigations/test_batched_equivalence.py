@@ -4,8 +4,10 @@ The controller's batched path (deferral credits, run-grouped
 ``on_activation_batch`` flushes, bulk tracker updates, the sparse
 forward-dict route view and the run-tally opt-out) must be
 *observationally invisible*: for every mitigation, a full simulation
-with ``REPRO_BATCH_MITIGATION=1`` must produce the same ``SimMetrics``
-dict — hence the same cache keys — as the scalar reference path.
+on the batched path must produce the same ``SimMetrics`` dict — hence
+the same cache keys — as the same mitigation with ``batch_scope =
+None`` set on the instance, which routes every activation through the
+scalar ``on_activation`` reference path.
 """
 
 import os
@@ -58,14 +60,13 @@ def _factories(scale=SCALE):
 def _run(factory, batched, workload="hmmer", scale=SCALE, records=RECORDS,
          seed=0, env=None, cores=CORES):
     saved = {}
-    updates = {"REPRO_BATCH_MITIGATION": "1" if batched else "0"}
-    if env:
-        updates.update(env)
-    for key, value in updates.items():
+    for key, value in (env or {}).items():
         saved[key] = os.environ.get(key)
         os.environ[key] = value
     try:
         mitigation = factory()
+        if not batched:
+            mitigation.batch_scope = None
         metrics = run_workload(
             get_workload(workload),
             mitigation,

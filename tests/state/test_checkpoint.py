@@ -122,6 +122,19 @@ def test_session_wants_explicit_cuts_and_interval():
     assert not zero.wants(0) and not zero.wants(100)
 
 
+def test_session_next_cut_merges_cuts_and_interval():
+    session = CheckpointSession(every=100, cuts=(0, 42, 250))
+    assert session.next_cut(0) == 42
+    assert session.next_cut(42) == 100
+    assert session.next_cut(99) == 100
+    assert session.next_cut(200) == 250
+    assert session.next_cut(250) == 300
+    explicit = CheckpointSession(cuts=(0, 7))
+    assert explicit.next_cut(0) == 7
+    assert explicit.next_cut(7) is None
+    assert CheckpointSession().next_cut(0) is None
+
+
 def test_session_save_records_and_sinks():
     seen = []
     session = CheckpointSession(

@@ -12,6 +12,7 @@ cut-before-the-first-request (0) and cut-after-the-last-request
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from repro.analysis.perf import run_workload
 from repro.core.config import RRSConfig
 from repro.core.rrs import RandomizedRowSwap
 from repro.dram.config import DRAMConfig
+from repro.mem.system import SystemSimulator
 from repro.mitigations import (
     PARA,
     BlockHammer,
@@ -95,12 +97,12 @@ def _mitigation(name: str):
     raise ValueError(name)
 
 
-def _run(name: str, session=None, with_faults: bool = False):
+def _run(name: str, session=None, with_faults: bool = False, records=RECORDS):
     return run_workload(
         get_workload("lbm"),
         _mitigation(name),
         scale=SCALE,
-        records_per_core=RECORDS,
+        records_per_core=records,
         cores=CORES,
         seed=SEED,
         with_faults=with_faults,
@@ -170,7 +172,16 @@ def test_roundtrip_under_sanitizer(monkeypatch):
 
 
 def test_roundtrip_with_scalar_mitigation_path(monkeypatch):
-    monkeypatch.setenv("REPRO_BATCH_MITIGATION", "0")
+    """``batch_scope = None`` on the instance routes every activation
+    through the scalar ``on_activation`` oracle."""
+    build = _mitigation
+
+    def scalar_path(name):
+        mitigation = build(name)
+        mitigation.batch_scope = None
+        return mitigation
+
+    monkeypatch.setattr(sys.modules[__name__], "_mitigation", scalar_path)
     _scratch.cache_clear()
     try:
         baseline, resumed = _resume("rrs", 257)
@@ -179,15 +190,14 @@ def test_roundtrip_with_scalar_mitigation_path(monkeypatch):
         _scratch.cache_clear()
 
 
-def test_roundtrip_matches_block_controller_loop(monkeypatch):
-    """Checkpointed runs take the scalar loop; a resume must still be
-    bit-identical to the plain run under either block-controller
-    setting (scalar == block is pinned by tests/mem)."""
+def test_roundtrip_matches_either_loop(monkeypatch):
+    """A resume is bit-identical to the plain run on the block kernel
+    and on the scalar oracle loop (scalar == block is pinned by
+    tests/mem)."""
     baseline, resumed = _resume("rrs", 257)
-    for toggle in ("1", "0"):
-        monkeypatch.setenv("REPRO_BLOCK_CONTROLLER", toggle)
-        plain = _run("rrs")  # no session: eligible for the block loop
-        assert plain == baseline == resumed
+    plain = _run("rrs")
+    _force_scalar_loop(monkeypatch)
+    assert _run("rrs") == plain == baseline == resumed
 
 
 def test_sanitizer_presence_mismatch_is_refused(monkeypatch):
@@ -197,6 +207,89 @@ def test_sanitizer_presence_mismatch_is_refused(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     with pytest.raises(ValueError, match="REPRO_SANITIZE"):
         _run("none", CheckpointSession(resume=reloaded))
+
+
+# ----------------------------------------------------------------------
+# Cuts are loop-independent
+# ----------------------------------------------------------------------
+def _force_scalar_loop(patch) -> None:
+    """Send runs to the scalar oracle loop instead of the block kernel."""
+    patch.setattr(
+        SystemSimulator, "_block_loop_eligible", lambda self, cores: False
+    )
+
+
+def _cut_digests(name: str, scalar: bool, with_faults: bool, monkeypatch):
+    """SHA-256 of every cut's ``dumps()`` (fault-model payloads run to
+    tens of MB, so the texts themselves are not kept)."""
+    captured = {}
+    session = CheckpointSession(
+        cuts=CUT_GRID,
+        sink=lambda ckpt: captured.setdefault(
+            ckpt.serviced, hashlib.sha256(ckpt.dumps().encode()).hexdigest()
+        ),
+    )
+    with monkeypatch.context() as patch:
+        if scalar:
+            _force_scalar_loop(patch)
+        metrics = _run(name, session, with_faults=with_faults)
+    return metrics, captured
+
+
+LOOP_CASES = [
+    (name, sanitize, with_faults)
+    for name in MITIGATIONS
+    for sanitize, with_faults in (("0", False), ("1", False), ("0", True))
+] + [("rrs", "1", True)]
+
+
+@pytest.mark.parametrize("name,sanitize,with_faults", LOOP_CASES)
+def test_cuts_are_byte_identical_across_loops(
+    name, sanitize, with_faults, monkeypatch
+):
+    """The kernel and the scalar loop leave identical state between
+    requests, so every cut's JSON is the same whichever loop ran."""
+    monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+    kernel, kernel_cuts = _cut_digests(name, False, with_faults, monkeypatch)
+    scalar, scalar_cuts = _cut_digests(name, True, with_faults, monkeypatch)
+    assert kernel == scalar
+    assert sorted(kernel_cuts) == sorted(CUT_GRID)
+    for cut in CUT_GRID:
+        assert kernel_cuts[cut] == scalar_cuts[cut], f"cut {cut} differs"
+
+
+def test_cuts_across_block_boundaries_are_byte_identical(monkeypatch):
+    """Cuts after the kernel has lean-loaded later trace blocks: the
+    core's scalar column views must be rebuilt on exit, and a cut from
+    either loop resumes on the other."""
+    records = 4_500  # crosses the 4096-record block boundary per core
+    run = functools.partial(_run, "rrs", records=records)
+
+    def cuts():
+        captured = {}
+        run(
+            CheckpointSession(
+                cuts=(4_096, 8_200, 2 * records - 1),
+                sink=lambda ckpt: captured.setdefault(
+                    ckpt.serviced, ckpt.dumps()
+                ),
+            )
+        )
+        return captured
+
+    plain = run()
+    kernel = cuts()
+    with monkeypatch.context() as patch:
+        _force_scalar_loop(patch)
+        scalar = cuts()
+        resumed_on_scalar = run(
+            CheckpointSession(resume=SimCheckpoint.loads(kernel[8_200]))
+        )
+    assert kernel == scalar
+    resumed_on_kernel = run(
+        CheckpointSession(resume=SimCheckpoint.loads(scalar[8_200]))
+    )
+    assert resumed_on_scalar == resumed_on_kernel == plain
 
 
 # ----------------------------------------------------------------------

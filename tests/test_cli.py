@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import DEFENSES, build_parser, main
 
 BAD_FIXTURE = Path(__file__).parent / "check" / "fixtures" / "bad_module.py"
 
@@ -82,8 +82,18 @@ def test_unknown_defense_rejected():
         build_parser().parse_args(["run", "--defense", "magic"])
 
 
+@pytest.mark.parametrize("defense", [d for d in DEFENSES if d != "none"])
+def test_run_supports_every_defense(defense, capsys):
+    code = main(
+        ["run", "--workload", "hmmer", "--defense", defense,
+         "--scale", "64", "--records", "1000"]
+    )
+    assert code == 0
+    assert f"under {defense}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
-    "defense", ["graphene", "twice", "trr", "blockhammer", "ideal-vfm"]
+    "defense", ["graphene", "twice", "trr", "para", "blockhammer", "ideal-vfm"]
 )
 def test_attack_command_supports_every_defense(defense, capsys):
     code = main(
