@@ -308,9 +308,10 @@ def _measure():
             SweepRunner(jobs=jobs, use_cache=False), points
         )
     else:
-        # jobs=1 short-circuits to the exact in-process serial path
-        # (SweepRunner._execute), so there is no parallel phase to
-        # time: re-measuring serial and logging it as "parallel 1.0x"
+        # jobs=1 runs on SweepRunner's in-process pool of one, the
+        # same path the serial phase timed, so there is no parallel
+        # phase to time: re-measuring serial and logging it as
+        # "parallel 1.0x"
         # would plot a fake flat speedup line in the history. Record
         # the phase as skipped (null rate/speedup) instead.
         parallel_results, parallel_s = None, None

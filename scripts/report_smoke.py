@@ -2,13 +2,17 @@
 """End-to-end dashboard smoke: tiny sweep -> ledger -> `repro report`.
 
 Runs a 4-point sweep (2 workloads x 2 seeds, a few hundred records
-each) into a scratch ledger and result cache, renders the HTML
-dashboard through the real `repro report` CLI path, then re-extracts
-the embedded JSON payload and validates it against the ledger schema.
+each) into a scratch ledger and result cache twice — once in-process
+(``jobs=1``) and once over a two-worker process pool, each into a
+fresh cache — and requires bit-identical results from both. It then
+renders the HTML dashboard of both runs through the real `repro
+report` CLI path, re-extracts the embedded JSON payload and validates
+it against the ledger schema.
 CI runs this as the ``report-smoke`` job and uploads the dashboard as
 an artifact; `make report-smoke` is the local equivalent.
 
-Exit code is non-zero on any failure: sweep, render, or validation.
+Exit code is non-zero on any failure: sweep, serial/parallel mismatch,
+render, or validation.
 """
 
 from __future__ import annotations
@@ -44,13 +48,24 @@ def main(argv=None) -> int:
             for workload in ("stream", "hmmer")
             for seed in (0, 1)
         ]
-        runner = SweepRunner(
-            jobs=1,
-            cache=ResultCache(root=Path(scratch) / "cache"),
-            progress=True,
-        )
-        runner.run(points, label="report-smoke")
-        print(f"report-smoke: swept {runner.stats.points} points")
+        results = {}
+        for jobs in (1, 2):
+            runner = SweepRunner(
+                jobs=jobs,
+                cache=ResultCache(root=Path(scratch) / f"cache-jobs{jobs}"),
+                progress=True,
+            )
+            results[jobs] = runner.run(points, label=f"report-smoke-j{jobs}")
+            print(
+                f"report-smoke: swept {runner.stats.points} points "
+                f"(jobs={jobs}, {runner.stats.simulated} simulated)"
+            )
+        if results[2] != results[1]:
+            print(
+                "report-smoke: jobs=2 results differ from jobs=1 results",
+                file=sys.stderr,
+            )
+            return 1
 
         code = repro_main(
             [
@@ -68,9 +83,10 @@ def main(argv=None) -> int:
             return code
 
         payload = validate_report_file(out)
-        if len(payload["entries"]) != len(points):
+        expected = len(points) * len(results)
+        if len(payload["entries"]) != expected:
             print(
-                f"report-smoke: expected {len(points)} ledger entries in the "
+                f"report-smoke: expected {expected} ledger entries in the "
                 f"payload, found {len(payload['entries'])}",
                 file=sys.stderr,
             )

@@ -420,8 +420,8 @@ def _cmd_checkpoint(args) -> int:
 
     from repro.exec.runner import (
         SweepPoint,
-        _checkpoint_every,
         _resume_usable,
+        _store_session,
         execute_point,
     )
     from repro.state.checkpoint import (
@@ -453,9 +453,10 @@ def _cmd_checkpoint(args) -> int:
         if not cuts:
             print("no persisted cuts")
         for cut in cuts:
-            usable = _resume_usable(
-                store.get(fingerprint, cut), point.records_per_core
-            ) if store.get(fingerprint, cut) else False
+            checkpoint = store.get(fingerprint, cut)
+            usable = checkpoint is not None and _resume_usable(
+                checkpoint, point.records_per_core
+            )
             marker = "" if usable else "  (not usable for this length)"
             print(f"  cut {cut:>8} / {total}{marker}")
         return 0
@@ -496,23 +497,8 @@ def _cmd_checkpoint(args) -> int:
                 print(f"  {field_name}: expected {base!r}, got {got!r}")
         return 1
 
-    resume = None
-    if not args.fresh:
-        resume = store.latest(
-            fingerprint,
-            max_serviced=total,
-            accept=lambda ckpt: _resume_usable(ckpt, point.records_per_core),
-        )
-    session = CheckpointSession(
-        fingerprint=fingerprint,
-        every=args.every or _checkpoint_every(total),
-        sink=store.put,
-        resume=resume,
-        meta={
-            "records_per_core": point.records_per_core,
-            "workload": point.workload,
-            "mitigation": point.mitigation.kind,
-        },
+    session = _store_session(
+        point, store, every=args.every, resume=not args.fresh
     )
     metrics = execute_point(point, checkpoints=session)
     origin = "from scratch"

@@ -1,46 +1,55 @@
-"""Parallel sweep executor.
+"""Sweep executor.
 
 Every performance experiment in the paper — Figure 6/10/11, Tables 4-7
 — is a sweep of *independent* full-system runs (workload x mitigation x
-threshold). :class:`SweepRunner` fans those runs out across worker
-processes and memoizes each one in the content-addressed
+threshold). :class:`SweepRunner` runs those through one executor loop
+and memoizes each one in the content-addressed
 :class:`~repro.exec.cache.ResultCache`.
+
+One loop, two pool kinds: a sweep with ``jobs == 1`` or at most one
+point to simulate runs in-process, through a pool of one worker whose
+``submit`` executes the point at once and hands back a resolved
+future; anything larger fans out over a :class:`ProcessPoolExecutor`.
+Both go through the same dispatch/drain/retry loop, so progress,
+ledger rows, straggler flags and retries mean the same thing either
+way.
 
 Determinism: a run is a pure function of its :class:`SweepPoint` — the
 trace generators and the RRS destination picker all draw from named
 streams derived from the point's seed (``repro.utils.rng``), so results
 are bit-identical whether a point executes in-process, in a worker, or
 comes back from the cache. A parallel sweep therefore reproduces a
-serial one exactly, and the determinism suite asserts it. Retries lean
-on the same property: a crashed worker's point is re-executed (up to
-``$REPRO_MAX_RETRIES`` times, default 1) and yields the metrics the
-first attempt would have produced. With ``REPRO_CHECKPOINT=1`` a retry
-resumes from the point's deepest persisted cut instead of replaying
-from scratch — still bit-identical, by the repro.state round-trip
-oracle.
+serial one exactly, and the determinism suite asserts it.
+
+Crash containment: a point whose execution raises (or whose worker
+dies) fails only that attempt. Retries run in rounds, each in a fresh
+pool, and re-submit every failed point with budget left
+(``$REPRO_MAX_RETRIES``, validated, default 1); a point the broken pool
+never started carries over without spending budget. Determinism makes
+a retry yield the metrics the first attempt would have produced, and
+with ``REPRO_CHECKPOINT=1`` it resumes from the point's deepest
+persisted cut instead of replaying from scratch — still bit-identical,
+by the repro.state round-trip oracle. Only a point that fails on every
+allowed attempt aborts the sweep — a partial result set must never
+masquerade as a complete one.
 
 Fleet telemetry: every point (simulated, cached, retried, failed) is
 recorded in the append-only :class:`~repro.obs.ledger.RunLedger`
 (``$REPRO_LEDGER``; ``0`` disables), with worker pid, wall time, peak
-RSS, and a compact metrics summary. While futures drain, a
+RSS, and a compact metrics summary. While a process pool drains, a
 :class:`~repro.obs.health.StragglerDetector` flags points that outlive
 ``straggler_k`` times the median completed duration, live on the
 progress line. All of it is observational — results with the ledger
 enabled are bit-identical to disabled.
 
-Crash containment: a worker that dies (or raises) fails only its
-point(s); each is retried in a fresh pool until its retry budget
-(``$REPRO_MAX_RETRIES``, validated, default 1) is spent, the failure is
-recorded in the ledger, and the sweep completes. Only a point that
-fails on every allowed attempt aborts the sweep — a partial result set
-must never masquerade as a complete one.
-
 Worker count: the ``jobs`` argument, else ``$REPRO_JOBS``, else 1.
 
-Test hook: ``REPRO_TEST_FAULT_ONCE=<path>`` makes the next point whose
+Test hooks: ``REPRO_TEST_FAULT_ONCE=<path>`` makes the next point whose
 executor sees the file consume it and fail — hard (``os._exit``) by
-default, or by raising when the file body is ``raise``. The crash/
-retry suites use it to kill exactly one worker attempt.
+default, or by raising when the file body is ``raise``.
+``REPRO_TEST_FAULT_AFTER_CKPT=<path>`` does the same right after a
+checkpoint is persisted. The crash/retry suites use them to kill
+exactly one attempt.
 """
 
 from __future__ import annotations
@@ -48,7 +57,14 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -92,27 +108,29 @@ def default_jobs() -> int:
     return max(1, jobs)
 
 
-def max_retries_from_env() -> int:
-    """Retries per point from ``$REPRO_MAX_RETRIES`` (validated).
+def _env_count(name: str) -> Optional[int]:
+    """``$name`` as a non-negative integer, or None when unset.
 
-    Unset means :data:`DEFAULT_MAX_RETRIES`; anything that is not a
-    non-negative integer is rejected loudly — a typo here must not
-    silently change crash-containment behaviour.
+    Anything else is rejected loudly, naming the variable — a typo
+    here must not silently change retry or checkpoint behaviour.
     """
-    raw = os.environ.get(_ENV_MAX_RETRIES, "")
+    raw = os.environ.get(name, "")
     if not raw:
-        return DEFAULT_MAX_RETRIES
+        return None
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{_ENV_MAX_RETRIES} must be a non-negative integer, got {raw!r}"
-        ) from None
+        value = -1  # rejected below like any other non-count
     if value < 0:
-        raise ValueError(
-            f"{_ENV_MAX_RETRIES} must be a non-negative integer, got {raw!r}"
-        )
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
     return value
+
+
+def max_retries_from_env() -> int:
+    """Retries per point from ``$REPRO_MAX_RETRIES`` (validated; unset
+    means :data:`DEFAULT_MAX_RETRIES`)."""
+    value = _env_count(_ENV_MAX_RETRIES)
+    return DEFAULT_MAX_RETRIES if value is None else value
 
 
 def _new_run_id() -> str:
@@ -129,9 +147,11 @@ def _peak_rss_kb() -> int:
     return int(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 
 
-def _maybe_inject_fault() -> None:
-    """Consume the one-shot fault file and fail (test hook, see module)."""
-    path = os.environ.get(_ENV_FAULT, "")
+def _consume_fault_file(env: str, what: str) -> None:
+    """Consume the one-shot fault file named by ``$env`` and fail
+    (test hook, see module): raise when its body is ``raise``, else
+    ``os._exit(3)``."""
+    path = os.environ.get(env, "")
     if not path:
         return
     try:
@@ -142,7 +162,7 @@ def _maybe_inject_fault() -> None:
         # Missing or already consumed by a sibling worker: no fault.
         return
     if mode == "raise":
-        raise RuntimeError("injected worker fault (repro test hook)")
+        raise RuntimeError(f"injected {what} (repro test hook)")
     os._exit(3)
 
 
@@ -228,20 +248,8 @@ class SweepPoint:
 
 def _checkpoint_every(total_requests: int) -> int:
     """Cut interval: ``$REPRO_CHECKPOINT_EVERY`` or block-aligned quarters."""
-    raw = os.environ.get(_ENV_CHECKPOINT_EVERY, "")
-    if raw:
-        try:
-            every = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{_ENV_CHECKPOINT_EVERY} must be a non-negative integer, "
-                f"got {raw!r}"
-            ) from None
-        if every < 0:
-            raise ValueError(
-                f"{_ENV_CHECKPOINT_EVERY} must be a non-negative integer, "
-                f"got {raw!r}"
-            )
+    every = _env_count(_ENV_CHECKPOINT_EVERY)
+    if every is not None:
         return every
     from repro.workloads.trace import TRACE_BLOCK_RECORDS
 
@@ -278,63 +286,51 @@ def _resume_usable(checkpoint, records_per_core: int) -> bool:
     return checkpoint.serviced < origin
 
 
-def _maybe_inject_post_checkpoint_fault() -> None:
-    """Consume ``$REPRO_TEST_FAULT_AFTER_CKPT`` and fail (test hook).
+def _store_session(point: SweepPoint, store, sink=None, every: int = 0,
+                   resume: bool = True):
+    """A :class:`~repro.state.checkpoint.CheckpointSession` persisting
+    ``point``'s cuts to ``store`` (through ``sink``, default
+    ``store.put``) every ``every`` requests (0: :func:`_checkpoint_every`),
+    resuming from the deepest usable cut unless ``resume`` is False."""
+    from repro.state.checkpoint import CheckpointSession
 
-    Same file-body contract as ``REPRO_TEST_FAULT_ONCE``, but fires
-    right after a checkpoint is persisted — the resume-on-retry tests
-    use it to kill a run that provably has state on disk.
-    """
-    path = os.environ.get(_ENV_FAULT_AFTER_CKPT, "")
-    if not path:
-        return
-    try:
-        with open(path) as handle:
-            mode = handle.read().strip()
-        os.unlink(path)
-    except OSError:
-        return
-    if mode == "raise":
-        raise RuntimeError("injected post-checkpoint fault (repro test hook)")
-    os._exit(3)
-
-
-def _checkpoint_session(point: SweepPoint):
-    """A :class:`~repro.state.checkpoint.CheckpointSession` for one
-    point, or None unless ``REPRO_CHECKPOINT=1`` opts the sweep in."""
-    from repro.state.checkpoint import (
-        CheckpointSession,
-        CheckpointStore,
-        checkpoint_enabled_by_env,
-    )
-
-    if not checkpoint_enabled_by_env():
-        return None
     point = point.resolved()
     total = point.records_per_core * point.cores
-    store = CheckpointStore()
     fingerprint = point.checkpoint_fingerprint()
-    resume = store.latest(
-        fingerprint,
-        max_serviced=total,
-        accept=lambda ckpt: _resume_usable(ckpt, point.records_per_core),
-    )
-
-    def sink(checkpoint) -> None:
-        store.put(checkpoint)
-        _maybe_inject_post_checkpoint_fault()
-
+    latest = None
+    if resume:
+        latest = store.latest(
+            fingerprint,
+            max_serviced=total,
+            accept=lambda ckpt: _resume_usable(ckpt, point.records_per_core),
+        )
     return CheckpointSession(
         fingerprint=fingerprint,
-        every=_checkpoint_every(total),
-        sink=sink,
-        resume=resume,
+        every=every or _checkpoint_every(total),
+        sink=sink or store.put,
+        resume=latest,
         meta={
             "records_per_core": point.records_per_core,
             "workload": point.workload,
             "mitigation": point.mitigation.kind,
         },
     )
+
+
+def _checkpoint_session(point: SweepPoint):
+    """The sweep's session for one point, or None unless
+    ``REPRO_CHECKPOINT=1`` opts the sweep in."""
+    from repro.state.checkpoint import CheckpointStore, checkpoint_enabled_by_env
+
+    if not checkpoint_enabled_by_env():
+        return None
+    store = CheckpointStore()
+
+    def sink(checkpoint) -> None:
+        store.put(checkpoint)
+        _consume_fault_file(_ENV_FAULT_AFTER_CKPT, "post-checkpoint fault")
+
+    return _store_session(point, store, sink=sink)
 
 
 def execute_point(point: SweepPoint, checkpoints=None) -> SimMetrics:
@@ -374,7 +370,7 @@ def _timed_execute_point(
     (all of it telemetry only — it never feeds the cache or the
     metrics).
     """
-    _maybe_inject_fault()
+    _consume_fault_file(_ENV_FAULT, "worker fault")
     started = time.perf_counter()
     point = point.resolved()
     session = _checkpoint_session(point)
@@ -389,6 +385,20 @@ def _timed_execute_point(
         resumed_from,
         saved,
     )
+
+
+class _InProcessPool(Executor):
+    """A pool of one in-process worker: ``submit`` runs the call at
+    once and returns an already-resolved future, so serial sweeps go
+    through the same loop as :class:`ProcessPoolExecutor` ones."""
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # crash containment: the round retries
+            future.set_exception(exc)
+        return future
 
 
 def _describe_point(point: SweepPoint) -> str:
@@ -441,7 +451,7 @@ class SweepStats:
 class SweepRunner:
     """Executes batches of :class:`SweepPoint` with fan-out + caching.
 
-    ``jobs=1`` runs in-process (no executor overhead); ``jobs>1`` uses a
+    ``jobs=1`` runs in-process (a pool of one); ``jobs>1`` uses a
     :class:`ProcessPoolExecutor`. ``cache=None`` with ``use_cache=True``
     opens the default on-disk cache; pass ``use_cache=False`` for pure
     timing runs. ``ledger=None`` with ``use_ledger=True`` opens the
@@ -478,9 +488,8 @@ class SweepRunner:
         if progress is None:
             progress = os.environ.get(_ENV_PROGRESS, "0") == "1"
         self.progress = progress
-        # Fleet telemetry: run ledger + worker health. Imported lazily
-        # so `import repro.exec` never drags repro.obs in eagerly.
-        from repro.obs.health import WorkerHealth
+        # Fleet telemetry: the run ledger. Imported lazily so
+        # `import repro.exec` never drags repro.obs in eagerly.
         from repro.obs.ledger import RunLedger
 
         if ledger is not None:
@@ -489,7 +498,6 @@ class SweepRunner:
             self.ledger = RunLedger()
         else:
             self.ledger = RunLedger(enabled=False)
-        self.health = WorkerHealth()
         self.straggler_k = straggler_k
         self.run_id = _new_run_id()
         self.stats = SweepStats()
@@ -542,15 +550,7 @@ class SweepRunner:
             reporter.cache_hits(hits)
 
         if pending:
-            raw = self._execute([point for _, point in pending], reporter)
-            # Tolerate subclasses whose _execute still returns bare
-            # SimMetrics/None per point (the pre-ledger contract).
-            outcomes = [
-                item
-                if isinstance(item, PointOutcome)
-                else PointOutcome(metrics=item)
-                for item in raw
-            ]
+            outcomes = self._execute([point for _, point in pending], reporter)
             for (index, point), outcome in zip(pending, outcomes):
                 results[index] = outcome.metrics
                 if outcome.metrics is not None:
@@ -699,125 +699,79 @@ class SweepRunner:
     def _execute(
         self, points: Sequence[SweepPoint], reporter=None
     ) -> List[PointOutcome]:
-        points = list(points)
-        if self.jobs == 1 or len(points) <= 1:
-            return self._execute_serial(points, reporter)
-        return self._execute_parallel(points, reporter)
+        """Run ``points`` in retry rounds: crash containment, straggler
+        watch, live progress.
 
-    def _execute_serial(
-        self, points: Sequence[SweepPoint], reporter=None
-    ) -> List[PointOutcome]:
-        """In-process execution with ``max_retries`` retries per point."""
-        outcomes: List[PointOutcome] = []
-        allowed = 1 + self.max_retries
-        for point in points:
-            outcome = None
-            first_error = ""
-            errors = ""
-            for attempt in range(1, allowed + 1):
-                try:
-                    (
-                        metrics, seconds, worker, rss, resumed, saved,
-                    ) = _timed_execute_point(point)
-                    outcome = PointOutcome(
-                        metrics, seconds, worker, rss,
-                        attempts=attempt, error=first_error,
-                        completed_ts=time.time(),
-                        resumed_from=resumed, checkpoints_saved=saved,
-                    )
-                    break
-                except Exception as exc:  # crash containment: retry
-                    if not errors:
-                        first_error = repr(exc)
-                        errors = first_error
-                    else:
-                        errors = f"{errors}; retry: {exc!r}"
-                    if attempt < allowed and reporter is not None:
-                        reporter.point_retried(
-                            _describe_point(point), repr(exc)
-                        )
-            if outcome is None:
-                outcome = PointOutcome(
-                    None,
-                    worker=os.getpid(),
-                    attempts=allowed,
-                    error=errors,
-                    completed_ts=time.time(),
-                )
-            if reporter is not None and outcome.metrics is not None:
-                reporter.point_done(_describe_point(point), outcome.seconds)
-            if outcome.metrics is not None:
-                self.health.beat(
-                    outcome.worker, time.time(), outcome.seconds,
-                    outcome.peak_rss_kb,
-                )
-            outcomes.append(outcome)
-        return outcomes
-
-    def _execute_parallel(
-        self, points: Sequence[SweepPoint], reporter=None
-    ) -> List[PointOutcome]:
-        """Pool execution: straggler watch, crash containment, retries.
-
-        A worker death poisons its pool (every pending future resolves
-        with ``BrokenProcessPool``), so each round runs in a fresh pool
-        and re-submits only the points that failed and still have
-        retry budget (``max_retries``) left.
+        The pool is in-process when ``jobs == 1`` or there is at most
+        one point, else a :class:`ProcessPoolExecutor`. At most
+        ``workers`` points are in flight; the next is dispatched as one
+        completes. A worker death poisons its pool (every in-flight
+        future resolves with ``BrokenProcessPool``), so each round runs
+        in a fresh pool and re-submits the points that failed and still
+        have retry budget (``max_retries``) left, plus any the broken
+        pool never started, which spend no budget.
         """
         from repro.obs.health import StragglerDetector
 
-        total = len(points)
-        outcomes: List[Optional[PointOutcome]] = [None] * total
-        attempts = [0] * total
-        first_error = [""] * total
+        points = list(points)
+        in_process = self.jobs == 1 or len(points) <= 1
+        outcomes: List[Optional[PointOutcome]] = [None] * len(points)
+        attempts = [0] * len(points)
+        first_error = [""] * len(points)
         detector = StragglerDetector(k=self.straggler_k)
         flagged: set = set()
-        remaining = list(range(total))
+        allowed = 1 + self.max_retries
+        remaining = list(range(len(points)))
 
         while remaining:
-            workers = min(self.jobs, len(remaining))
-            round_failed: List[int] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_timed_execute_point, points[index]): index
-                    for index in remaining
-                }
-                for index in remaining:
-                    attempts[index] += 1
-                # Estimated dispatch times for the straggler watch: the
-                # pool starts the first `workers` submissions at once
-                # and feeds the queue in order as slots free up.
-                queue = deque(remaining[workers:])
-                started = {
-                    index: time.monotonic() for index in remaining[:workers]
-                }
-                pending_set = set(futures)
-                while pending_set:
+            pool: Executor
+            if in_process:
+                workers, pool = 1, _InProcessPool()
+            else:
+                workers = min(self.jobs, len(remaining))
+                pool = ProcessPoolExecutor(max_workers=workers)
+            queue = deque(remaining)
+            inflight: Dict[Future, int] = {}
+            started: Dict[int, float] = {}
+            failed: List[int] = []
+            broken = False
+            with pool:
+                while queue or inflight:
+                    while queue and not broken and len(inflight) < workers:
+                        index = queue[0]
+                        try:
+                            future = pool.submit(
+                                _timed_execute_point, points[index]
+                            )
+                        except BrokenExecutor:
+                            broken = True
+                            break
+                        queue.popleft()
+                        attempts[index] += 1
+                        started[index] = time.monotonic()
+                        inflight[future] = index
+                    if not inflight:
+                        break  # broken pool: the queue waits a round
                     done, _ = wait(
-                        pending_set,
-                        timeout=_POLL_SECONDS,
+                        inflight, timeout=_POLL_SECONDS,
                         return_when=FIRST_COMPLETED,
                     )
                     now = time.monotonic()
                     for future in done:
-                        pending_set.discard(future)
-                        index = futures[future]
-                        started.pop(index, None)
-                        if queue:
-                            started[queue.popleft()] = now
+                        index = inflight.pop(future)
+                        del started[index]
                         exc = future.exception()
                         if exc is not None:
-                            round_failed.append(index)
+                            broken = broken or isinstance(exc, BrokenExecutor)
+                            failed.append(index)
                             first_error[index] = (
                                 first_error[index] or repr(exc)
                             )
-                            self.health.beat(0, time.time(), failed=True)
                             continue
                         (
                             metrics, seconds, worker, rss, resumed, saved,
                         ) = future.result()
                         detector.record(seconds)
-                        self.health.beat(worker, time.time(), seconds, rss)
                         outcomes[index] = PointOutcome(
                             metrics,
                             seconds,
@@ -836,42 +790,36 @@ class SweepRunner:
                                 worker=worker,
                             )
                     # Live straggler watch over the still-running set.
-                    inflight = {
+                    elapsed = {
                         index: now - since for index, since in started.items()
                     }
-                    for index in detector.check(inflight):
+                    for index in detector.check(elapsed):
                         flagged.add(index)
                         if reporter is not None:
                             reporter.straggler(
                                 _describe_point(points[index]),
-                                inflight[index],
+                                elapsed[index],
                                 detector.median or 0.0,
                             )
 
-            allowed = 1 + self.max_retries
-            retry = [
-                index for index in round_failed if attempts[index] < allowed
-            ]
-            for index in round_failed:
-                if attempts[index] >= allowed and index not in retry:
+            remaining = list(queue)  # never started: no budget spent
+            for index in failed:
+                if attempts[index] >= allowed:
                     outcomes[index] = PointOutcome(
                         None, attempts=attempts[index],
                         error=first_error[index],
                     )
-            if reporter is not None:
-                for index in retry:
+                    continue
+                remaining.append(index)
+                if reporter is not None:
                     reporter.point_retried(
                         _describe_point(points[index]), first_error[index]
                     )
-            remaining = retry
+            remaining.sort()
 
         finished: List[PointOutcome] = []
         for index, outcome in enumerate(outcomes):
-            if outcome is None:  # pragma: no cover - defensive
-                outcome = PointOutcome(
-                    None, attempts=attempts[index], error=first_error[index]
-                )
-            if index in flagged:
-                outcome.straggler = True
+            assert outcome is not None  # every round settles its points
+            outcome.straggler = index in flagged
             finished.append(outcome)
         return finished

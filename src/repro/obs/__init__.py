@@ -17,8 +17,7 @@ Sweep-fleet observability (DESIGN.md §11) adds four more:
 
 * :mod:`repro.obs.ledger` — append-only schema-versioned JSONL run
   ledger of every sweep point (``$REPRO_LEDGER`` or the cache dir);
-* :mod:`repro.obs.health` — worker heartbeat/straggler telemetry for
-  the parallel sweep path;
+* :mod:`repro.obs.health` — live straggler detection for sweeps;
 * :mod:`repro.obs.regress` — cross-run drift detection (robust
   z-scores against ledger history, ``REG001``–``REG003`` findings);
 * :mod:`repro.obs.reportgen` — the ``repro report`` single-file HTML
@@ -29,7 +28,7 @@ only read simulator state, and ``tests/obs`` asserts traced and
 untraced runs produce bit-identical :class:`SimMetrics`.
 """
 
-from repro.obs.health import StragglerDetector, WorkerHealth
+from repro.obs.health import StragglerDetector
 from repro.obs.install import Observability
 from repro.obs.ledger import (
     LedgerEntry,
@@ -87,7 +86,6 @@ __all__ = [
     "SweepProgress",
     "TraceEvent",
     "Tracer",
-    "WorkerHealth",
     "default_ledger_path",
     "detect_drift",
     "drift_report",

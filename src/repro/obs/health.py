@@ -1,28 +1,22 @@
-"""Worker health telemetry for parallel sweeps.
+"""Straggler detection for sweeps.
 
-:class:`~repro.exec.runner.SweepRunner` drives two small, pure-logic
-trackers while a sweep's futures drain:
+:class:`StragglerDetector` is the pure-logic tracker
+:class:`~repro.exec.runner.SweepRunner` consults while a process pool
+drains: once enough points have completed, any in-flight point whose
+elapsed time exceeds ``k`` times the median completed duration is
+flagged (once) so the progress line can call it out while the sweep is
+still running, and the point's ledger row carries the ``straggler``
+flag.
 
-* :class:`WorkerHealth` — per-worker heartbeat timestamps and work
-  totals, aggregated in the parent from worker-measured completions.
-  A worker whose last heartbeat is older than the straggler horizon
-  shows up in the ledger and the dashboard as quiet, which is how a
-  hung worker is distinguished from a slow point.
-* :class:`StragglerDetector` — robust live straggler detection: once
-  enough points have completed, any in-flight point whose elapsed time
-  exceeds ``k`` times the median completed duration is flagged (once)
-  so the progress line can call it out while the sweep is still
-  running.
-
-Both are observational: they read completion telemetry, never touch
-simulation state, and their output feeds only the progress reporter
-and the run ledger.
+It is observational: it reads completion telemetry, never touches
+simulation state, and its output feeds only the progress reporter and
+the run ledger. Per-worker totals (pid, wall time, peak RSS, failures)
+live in the ledger rows themselves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional
+from typing import Hashable, List, Mapping, Optional
 
 from repro.utils.stats import percentile
 
@@ -87,73 +81,3 @@ class StragglerDetector:
                 self.flagged.add(key)
                 fresh.append(key)
         return fresh
-
-
-@dataclass
-class WorkerRecord:
-    """Aggregated telemetry for one worker process."""
-
-    worker: int
-    points: int = 0
-    seconds: float = 0.0
-    peak_rss_kb: int = 0
-    last_heartbeat: float = 0.0
-    failures: int = 0
-
-
-@dataclass
-class WorkerHealth:
-    """Heartbeats and totals per worker, aggregated in the parent.
-
-    A heartbeat is a point completion (the only signal a worker emits
-    without a side channel); ``last_heartbeat`` is the host wall-clock
-    time of the newest one. ``snapshot`` renders plain data for the
-    ledger and the dashboard.
-    """
-
-    workers: Dict[int, WorkerRecord] = field(default_factory=dict)
-
-    def beat(
-        self,
-        worker: int,
-        ts: float,
-        seconds: float = 0.0,
-        peak_rss_kb: int = 0,
-        failed: bool = False,
-    ) -> None:
-        """Record one completion (or failure) heartbeat from a worker."""
-        record = self.workers.get(worker)
-        if record is None:
-            record = WorkerRecord(worker=worker)
-            self.workers[worker] = record
-        if failed:
-            record.failures += 1
-        else:
-            record.points += 1
-            record.seconds += seconds
-        if peak_rss_kb > record.peak_rss_kb:
-            record.peak_rss_kb = peak_rss_kb
-        if ts > record.last_heartbeat:
-            record.last_heartbeat = ts
-
-    def quiet_workers(self, now: float, horizon: float) -> List[int]:
-        """Workers whose last heartbeat is older than ``horizon`` seconds."""
-        return sorted(
-            record.worker
-            for record in self.workers.values()
-            if record.last_heartbeat and now - record.last_heartbeat > horizon
-        )
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        """Plain-data per-worker rows, ordered by worker id."""
-        return [
-            {
-                "worker": record.worker,
-                "points": record.points,
-                "seconds": record.seconds,
-                "peak_rss_kb": record.peak_rss_kb,
-                "last_heartbeat": record.last_heartbeat,
-                "failures": record.failures,
-            }
-            for record in sorted(self.workers.values(), key=lambda r: r.worker)
-        ]

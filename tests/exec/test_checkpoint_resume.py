@@ -66,11 +66,25 @@ def test_max_retries_env_default_and_parse(monkeypatch):
     assert max_retries_from_env() == 0
 
 
-@pytest.mark.parametrize("raw", ["-1", "two", "1.5", " "])
-def test_max_retries_env_rejects_garbage_loudly(monkeypatch, raw):
-    monkeypatch.setenv("REPRO_MAX_RETRIES", raw)
-    with pytest.raises(ValueError, match="REPRO_MAX_RETRIES"):
-        max_retries_from_env()
+_ENV_READERS = {
+    "REPRO_MAX_RETRIES": max_retries_from_env,
+    "REPRO_CHECKPOINT_EVERY": lambda: _checkpoint_every(100),
+}
+
+
+@pytest.mark.parametrize(
+    "name, raw",
+    [
+        pytest.param(name, raw, id=raw if name == "REPRO_MAX_RETRIES"
+                     else f"{name}={raw}")
+        for name in _ENV_READERS
+        for raw in ("-1", "two", "1.5", " ")
+    ],
+)
+def test_max_retries_env_rejects_garbage_loudly(monkeypatch, name, raw):
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(ValueError, match=name):
+        _ENV_READERS[name]()
 
 
 def test_runner_max_retries_argument_beats_env(tmp_path, monkeypatch):

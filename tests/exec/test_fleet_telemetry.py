@@ -9,6 +9,8 @@ The two load-bearing guarantees under test:
   and the failure is recorded in the ledger instead of aborting.
 """
 
+import os
+
 import pytest
 
 from repro.exec import MitigationSpec, ResultCache, SweepPoint, SweepRunner
@@ -97,6 +99,14 @@ def test_ledger_does_not_perturb_results(tmp_path):
     assert without.ledger.read() == []
 
 
+def test_single_point_sweep_runs_in_process(tmp_path):
+    """One point never pays for a process pool, whatever ``jobs`` is."""
+    runner = _runner(tmp_path, jobs=2)
+    runner.run([_point()])
+    (row,) = runner.ledger.read()
+    assert row.worker == os.getpid()
+
+
 # ----------------------------------------------------------------------
 # Crash containment: serial path (raise-mode fault)
 # ----------------------------------------------------------------------
@@ -171,3 +181,50 @@ def test_parallel_worker_death_is_retried_and_bit_identical(
     final = [row for row in rows if row.status in (STATUS_RETRIED, STATUS_OK)]
     assert len(final) == 2  # every point ultimately succeeded
     assert all(row.summary["accesses"] > 0 for row in final)
+
+
+def test_points_a_broken_pool_never_started_spend_no_budget(
+    tmp_path, monkeypatch
+):
+    """Only dispatched points pay for a pool break; the rest carry over."""
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    import repro.exec.runner as runner_module
+
+    class _BreaksInFirstRound:
+        """Round 1: the first point's worker dies, later submits are
+        refused. Later rounds run points in-process."""
+
+        pools = 0
+
+        def __init__(self, max_workers):
+            type(self).pools += 1
+            self.broken = type(self).pools == 1
+            self.submitted = 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def submit(self, fn, *args):
+            self.submitted += 1
+            future = Future()
+            if not self.broken:
+                future.set_result(fn(*args))
+            elif self.submitted == 1:
+                future.set_exception(BrokenProcessPool("worker died"))
+            else:
+                raise BrokenProcessPool("pool is broken")
+            return future
+
+    monkeypatch.setattr(runner_module, "ProcessPoolExecutor", _BreaksInFirstRound)
+    runner = _runner(
+        tmp_path, jobs=2, cache=ResultCache(enabled=False), max_retries=0
+    )
+    with pytest.raises(RuntimeError, match="1 of 3"):
+        runner.run([_point(seed=seed) for seed in (1, 2, 3)])
+    statuses = {row.seed: row.status for row in runner.ledger.read()}
+    assert statuses == {1: STATUS_FAILED, 2: STATUS_OK, 3: STATUS_OK}

@@ -11,7 +11,7 @@ from repro.exec import (
     execute_point,
     registered_kinds,
 )
-from repro.exec.runner import default_jobs
+from repro.exec.runner import PointOutcome, default_jobs
 from repro.mitigations.blockhammer import BlockHammer
 from repro.mitigations.ideal_vfm import IdealVictimRefresh
 from repro.mitigations.none import NoMitigation
@@ -158,7 +158,7 @@ class _BrokenRunner(SweepRunner):
     """Runner whose execution stage loses every result."""
 
     def _execute(self, points, reporter=None):
-        return [None for _ in points]
+        return [PointOutcome(None) for _ in points]
 
 
 def test_missing_result_raises_identifying_the_point(tmp_path):
@@ -203,6 +203,28 @@ def test_progress_heartbeat_and_summary(tmp_path, capsys):
     again.run(points, label="demo")
     err = capsys.readouterr().err
     assert "2/2 points (2 cached, 0 simulated)" in err
+
+
+def test_serial_progress_is_live(monkeypatch, capsys):
+    """Each serial point is reported when it finishes, not per batch."""
+    import repro.exec.runner as runner_module
+
+    execute = runner_module._timed_execute_point
+    err_at_start = []
+
+    def spy(point):
+        err_at_start.append(capsys.readouterr().err)
+        return execute(point)
+
+    monkeypatch.setattr(runner_module, "_timed_execute_point", spy)
+    runner = SweepRunner(
+        jobs=1, cache=ResultCache(enabled=False), use_ledger=False,
+        progress=True,
+    )
+    runner.run([_point(), _point(seed=5)])
+    assert len(err_at_start) == 2
+    assert "1/2 points" not in err_at_start[0]
+    assert "1/2 points" in err_at_start[1]
 
 
 def test_progress_defaults_from_env(monkeypatch, tmp_path):

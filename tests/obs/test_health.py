@@ -1,8 +1,8 @@
-"""Worker health telemetry: straggler detection and heartbeats."""
+"""Sweep health telemetry: straggler detection."""
 
 import pytest
 
-from repro.obs.health import StragglerDetector, WorkerHealth
+from repro.obs.health import StragglerDetector
 
 
 # ----------------------------------------------------------------------
@@ -38,31 +38,3 @@ def test_detector_rejects_non_multiplier_k():
     with pytest.raises(ValueError, match="exceed 1.0"):
         StragglerDetector(k=1.0)
 
-
-# ----------------------------------------------------------------------
-# WorkerHealth
-# ----------------------------------------------------------------------
-def test_heartbeats_aggregate_per_worker():
-    health = WorkerHealth()
-    health.beat(101, ts=10.0, seconds=2.0, peak_rss_kb=500)
-    health.beat(101, ts=12.0, seconds=3.0, peak_rss_kb=400)
-    health.beat(202, ts=11.0, seconds=1.0, peak_rss_kb=600)
-    health.beat(0, ts=13.0, failed=True)
-
-    rows = health.snapshot()
-    assert [r["worker"] for r in rows] == [0, 101, 202]
-    w101 = rows[1]
-    assert w101["points"] == 2
-    assert w101["seconds"] == pytest.approx(5.0)
-    assert w101["peak_rss_kb"] == 500  # max, not last
-    assert w101["last_heartbeat"] == 12.0
-    assert rows[0]["failures"] == 1
-    assert rows[0]["points"] == 0
-
-
-def test_quiet_workers_past_horizon():
-    health = WorkerHealth()
-    health.beat(101, ts=10.0, seconds=1.0)
-    health.beat(202, ts=58.0, seconds=1.0)
-    assert health.quiet_workers(now=60.0, horizon=30.0) == [101]
-    assert health.quiet_workers(now=60.0, horizon=55.0) == []
