@@ -16,10 +16,11 @@ check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow engine
 check-flow:  ## flow engine only: entropy, oracle drift, hot-path, snapshot coverage
 	$(PYTHON) -m repro check --flow
 
-checkpoint-smoke:  ## checkpoint round-trip oracle on a tiny run (kernel cuts, then traced scalar-loop cuts)
+checkpoint-smoke:  ## checkpoint round-trip oracle on a tiny run (untraced kernel cuts, then traced kernel cuts on the ring and default JSONL sinks)
 	$(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 	$(PYTHON) -m repro checkpoint stream none --records 600 --cores 2 --verify
 	REPRO_TRACE=1 REPRO_TRACE_SINK=ring $(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
+	REPRO_TRACE=1 REPRO_TRACE_FILE=/dev/null $(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 
 bench:  ## regenerate every table & figure (slow; honours REPRO_JOBS)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

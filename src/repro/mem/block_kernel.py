@@ -2,13 +2,16 @@
 
 Two entry points, both bit-identical to their scalar oracles:
 
-* :func:`run_block_loop` — the full-system hot loop
+* :func:`run_block_loop` — the full-system hot loop and the only loop
+  :meth:`~repro.mem.system.SystemSimulator.run` calls, traced,
+  sanitized, checkpointed or not
   (:meth:`~repro.mem.system.SystemSimulator._run_scalar` is the
-  registered oracle). One Python iteration per request, but with every
-  per-request object hop fused away: bank timing lives in flat SoA
-  lists, refresh is advanced inline on those lists, mitigation deferral
-  runs against the shared :class:`ChannelBatchState` buffers, and core
-  issue times come from per-block numpy precompute
+  registered oracle, reached only by tests). One Python iteration per
+  request, but with every per-request object hop fused away: bank
+  timing lives in flat SoA lists, refresh is advanced inline on those
+  lists, mitigation deferral runs against the shared
+  :class:`ChannelBatchState` buffers, and core issue times come from
+  per-block numpy precompute
   (``(gap / retire_width) * cycle_ns`` and the instruction-index
   cumsum are elementwise IEEE-754 operations, so the values match the
   scalar per-record arithmetic bit for bit).
@@ -112,8 +115,11 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
     command observer or a fault model (``REPRO_SANITIZE=1`` chains
     observers onto every bank) are serviced through ``Bank.access`` so
     protocol checks still see every command; unobserved open-page banks
-    run on flat SoA timing lists. Eligibility is decided by
-    ``SystemSimulator._block_loop_eligible``.
+    run on flat SoA timing lists. Observability probes (request,
+    throttle, mitigation) fire at the points ``MemoryController.service``
+    and ``_apply`` fire them, and the stats accumulators are stored
+    before any window callback reads them, so a traced run emits the
+    oracle's event stream exactly.
 
     Services at most ``budget`` (positive) requests, or all of them
     when it is None, and returns how many it serviced. State is read
@@ -189,8 +195,11 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
     pre_delay = mitigation.pre_activate_delay_ns
     on_act = mitigation.on_activation
     on_act_batch = mitigation.on_activation_batch
+    obs = c0.obs  # Observability.install sets it on every controller
+    on_request = obs.on_request if obs is not None else None
 
-    # ---- per-channel stats accumulators (folded back at the end) ----
+    # ---- per-channel stats accumulators (stored back at window ends
+    # and on exit) ----
     st_reads = [c.stats.reads for c in controllers]
     st_writes = [c.stats.writes for c in controllers]
     st_acts = [c.stats.activations for c in controllers]
@@ -200,6 +209,19 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
     st_swap_blocked = [c.stats.swap_blocked_ns for c in controllers]
     st_throttle = [c.stats.throttle_delay_ns for c in controllers]
     st_latency = [c.stats.total_latency_ns for c in controllers]
+
+    def store_stats() -> None:
+        for ch, controller in enumerate(controllers):
+            stats = controller.stats
+            stats.reads = st_reads[ch]
+            stats.writes = st_writes[ch]
+            stats.activations = st_acts[ch]
+            stats.row_buffer_hits = st_hits[ch]
+            stats.victim_refreshes = st_victims[ch]
+            stats.swaps = st_swaps[ch]
+            stats.swap_blocked_ns = st_swap_blocked[ch]
+            stats.throttle_delay_ns = st_throttle[ch]
+            stats.total_latency_ns = st_latency[ch]
 
     # ---- refresh locals (RefreshScheduler.advance_to, inlined) ----
     next_refi = refresh._next_refi_ns
@@ -248,6 +270,8 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
                     timing_objs[fb].block_until(end)
         if sanitizers[ch] is not None and action.swaps:
             sanitizers[ch].audit_mitigation(mitigation)
+        if obs is not None:
+            obs.on_mitigation(action, key_table[gfb], now_ns)
 
     # ---- per-core SoA state ----
     n_cores = len(cores)
@@ -331,6 +355,8 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
                 refresh.refresh_bursts += 1
                 next_refi += cfg_t_refi
             while next_window <= arrival:
+                # Window callbacks (obs) read the live ControllerStats.
+                store_stats()
                 completed = refresh.windows_completed
                 for callback in pre_window_callbacks:
                     callback(completed)
@@ -361,6 +387,10 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
                 delay = pre_delay(key_table[gfb], physical_row, start_floor)
                 if delay > 0.0:
                     st_throttle[ch] += delay
+                    if obs is not None:
+                        obs.on_throttle(
+                            key_table[gfb], physical_row, start_floor, delay
+                        )
                     start_floor += delay
 
         if amode[gfb] and 0 <= physical_row < rows_per_bank:
@@ -410,7 +440,8 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
             st_writes[ch] += 1
         else:
             st_reads[ch] += 1
-        st_latency[ch] += completion - arrival
+        latency = completion - arrival
+        st_latency[ch] += latency
         if hit:
             st_hits[ch] += 1
         if activated:
@@ -455,6 +486,11 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
                     b_times.clear()
                 if action is not None and not action.is_noop:
                     _apply_action(action, gfb, ch, completion)
+        if on_request is not None:
+            on_request(
+                core_id, is_write, arrival, latency, row, physical_row, gfb,
+                hit,
+            )
 
         # -- Core.complete + next_issue_time, fused --
         if inst_index > c_retired[core_id]:
@@ -502,16 +538,7 @@ def run_block_loop(sim, cores, budget: Optional[int] = None) -> int:
             bank_objs[fb].total_activations = total_acts[fb]
     for ch, channel in enumerate(channels):
         channel.bus_free_ns = bus_free[ch]
-        stats = controllers[ch].stats
-        stats.reads = st_reads[ch]
-        stats.writes = st_writes[ch]
-        stats.activations = st_acts[ch]
-        stats.row_buffer_hits = st_hits[ch]
-        stats.victim_refreshes = st_victims[ch]
-        stats.swaps = st_swaps[ch]
-        stats.swap_blocked_ns = st_swap_blocked[ch]
-        stats.throttle_delay_ns = st_throttle[ch]
-        stats.total_latency_ns = st_latency[ch]
+    store_stats()
     refresh._next_refi_ns = next_refi
     refresh._next_window_ns = next_window
     refresh.next_due_ns = min(next_refi, next_window)

@@ -95,6 +95,9 @@ class MemoryController:
         self._bank_table = [
             bank for rank in channel.ranks for bank in rank.banks
         ]
+        # Offset of this channel's banks in the mapper's (channel-major)
+        # flat bank order, which the obs request probe indexes by.
+        self._flat_base = channel.index * len(self._bank_table)
         # Optional USIMM-style buffered writes: writes complete
         # immediately into the queue and drain in bursts once the
         # high-watermark is reached (0 = service writes inline).
@@ -188,7 +191,10 @@ class MemoryController:
             if self.obs is not None:
                 # Zero latency, no row-buffer outcome: the DRAM work
                 # happens at drain time, not at enqueue.
-                self.obs.on_request(request, decoded, 0.0, False)
+                self.obs.on_request(
+                    request.core_id, True, request.arrival_ns, 0.0, row,
+                    physical_row, self._flat_base + flat_bank, False,
+                )
             return request.completion_ns
 
         start_floor = request.arrival_ns + self._lookup_ns
@@ -293,7 +299,10 @@ class MemoryController:
                     bank_key, flat_bank, row, physical_row, bank, completion
                 )
         if self.obs is not None:
-            self.obs.on_request(request, decoded, latency, hit)
+            self.obs.on_request(
+                request.core_id, request.is_write, request.arrival_ns,
+                latency, row, physical_row, self._flat_base + flat_bank, hit,
+            )
         return completion
 
     # repro-oracle: controller-service -- kernel

@@ -105,47 +105,35 @@ class SystemSimulator:
         ``checkpoints`` is an optional
         :class:`~repro.state.checkpoint.CheckpointSession`: the run
         restores the session's resume checkpoint before the first
-        request and cuts wherever the session asks. Cuts do not pick
-        the loop: either loop is run in request-budgeted segments up to
-        the next cut, and both leave identical state between requests.
+        request and cuts wherever the session asks: the loop runs in
+        request-budgeted segments up to the next cut.
         """
         if len(traces) != self.config.cores:
             raise ValueError(
                 f"expected {self.config.cores} traces, got {len(traces)}"
             )
-        # Columnar traces (TraceChunks) get the batched front end:
-        # per-block decode_batch plus pooled request objects. Pooling
-        # is safe here because this loop services each request fully
-        # (write_queue_capacity=0) before asking the core for another.
         cores = [
-            Core(
-                core_id,
-                trace,
-                self.config.core,
-                mapper=self.mapper,
-                pool_requests=True,
-            )
+            Core(core_id, trace, self.config.core, mapper=self.mapper)
             for core_id, trace in enumerate(traces)
         ]
-        if self._block_loop_eligible(cores):
-            loop = run_block_loop
-        else:
-            loop = SystemSimulator._run_scalar
+        # One production loop: the fused block kernel. It is looked up
+        # as a module global at call time, so tests can swap in the
+        # scalar oracle by patching this name.
         if checkpoints is None:
-            loop(self, cores)
+            run_block_loop(self, cores)
         else:
-            self._run_segments(loop, cores, checkpoints)
+            self._run_segments(cores, checkpoints)
         for core in cores:
             core.drain()
         return self._collect(cores, workload)
 
-    def _run_segments(self, loop, cores: List[Core], session) -> None:
-        """Drive ``loop`` from cut to cut of a checkpoint session.
+    def _run_segments(self, cores: List[Core], session) -> None:
+        """Drive the system loop from cut to cut of a checkpoint session.
 
         A cut lands *between* requests: after one request completes and
         before the serviced core's next issue time is computed, which is
-        exactly where a budgeted loop returns and where either loop
-        re-enters (the heap is rebuilt from each core's
+        exactly where a budgeted loop returns and where the kernel and
+        its oracle alike re-enter (the heap is rebuilt from each core's
         ``next_issue_time``; ``(issue_at, core_id)`` is a strict total
         order, so pop order is independent of heap layout).
         """
@@ -160,9 +148,9 @@ class SystemSimulator:
         while True:
             cut = session.next_cut(serviced)
             if cut is None:
-                loop(self, cores)
+                run_block_loop(self, cores)
                 return
-            serviced += loop(self, cores, cut - serviced)
+            serviced += run_block_loop(self, cores, cut - serviced)
             if serviced != cut:
                 return  # every trace ran out before the cut
             session.save(serviced, self.checkpoint_payload(cores))
@@ -208,6 +196,8 @@ class SystemSimulator:
             )
         if len(channel_states) != len(self.channels):
             raise ValueError("channel count mismatch in checkpoint")
+        if len(controller_states) != len(self.controllers):
+            raise ValueError("controller count mismatch in checkpoint")
         for core, state in zip(cores, core_states):
             core.restore_state(state)
         for channel, state in zip(self.channels, channel_states):
@@ -229,37 +219,14 @@ class SystemSimulator:
                 "taken without it"
             )
 
-    def _block_loop_eligible(self, cores: List[Core]) -> bool:
-        """Whether this run can take the fused block kernel.
-
-        The kernel (repro.mem.block_kernel) is bit-identical to
-        ``_run_scalar`` but assumes the configuration the system
-        simulator itself always builds: columnar cores, inline write
-        servicing, and no postponed refreshes. Observability probes
-        need per-request objects, so traced runs stay scalar; the
-        sanitizer's chained observers are supported (observed banks are
-        serviced through ``Bank.access`` inside the kernel). The choice
-        depends only on the run's own setup, so result-cache keys never
-        depend on which loop ran.
-        """
-        if self.obs is not None:
-            return False
-        refresh = self.refresh
-        if refresh.max_postponed != 0 or refresh.postponed != 0:
-            return False
-        if not all(core._chunked for core in cores):
-            return False
-        return all(
-            controller.write_queue_capacity == 0 and controller.obs is None
-            for controller in self.controllers
-        )
-
     # repro-oracle: system-loop -- oracle
     def _run_scalar(self, cores: List[Core], budget: Optional[int] = None) -> int:
         """Reference per-request loop (the block kernel's oracle).
 
-        Services at most ``budget`` (positive) requests, or all of them
-        when it is None, and returns how many it serviced.
+        Production runs never call it: tests reach it by patching
+        ``repro.mem.system.run_block_loop``. Services at most ``budget``
+        (positive) requests, or all of them when it is None, and returns
+        how many it serviced.
         """
         stop = -1 if budget is None else budget
         # A core sits in the heap iff it has a pending record
@@ -283,7 +250,6 @@ class SystemSimulator:
         refresh = self.refresh
         advance_refresh = refresh.advance_to
         refresh_due = refresh.next_due_ns
-        decode = self.mapper.decode
         controllers = self.controllers
         serviced = 0
 
@@ -295,11 +261,7 @@ class SystemSimulator:
             if arrival >= refresh_due:
                 advance_refresh(arrival)
                 refresh_due = refresh.next_due_ns
-            decoded = request.decoded
-            if decoded is None:  # scalar front end: decode here
-                decoded = decode(request.address)
-                request.decoded = decoded
-            controllers[decoded.channel].service(request)
+            controllers[request.decoded.channel].service(request)
             core.complete(request)
             serviced += 1
             if serviced == stop:

@@ -8,7 +8,8 @@ probes on every layer of the memory system:
   :class:`~repro.dram.timing.BankTimingState` observer hook) for the
   ``dram.cmd`` category and per-bank ACT accounting;
 * a request-completion hook on every
-  :class:`~repro.mem.controller.MemoryController` feeding the
+  :class:`~repro.mem.controller.MemoryController`, which the block
+  kernel (:mod:`repro.mem.block_kernel`) calls too, feeding the
   read-latency histogram, per-bank row-buffer hit counters, and
   ``exec`` request-lifetime events;
 * mitigation hooks: throttle delays, victim refreshes, channel blocks
@@ -100,8 +101,6 @@ class Observability:
         # blocks (Histogram.observe_bulk) instead of one observe() per
         # request.
         self._latency_buffer: List[float] = []
-        self._ranks_per_channel = 0
-        self._banks_per_rank = 0
         self._trace_exec = False
         self._trace_cmds = False
         self._trace_mitigation = False
@@ -171,15 +170,14 @@ class Observability:
                 engine.observer = self._on_swap_op
 
         # Precreate every per-channel and per-bank counter the request
-        # probe touches, flat-indexed channel-major so on_request does
-        # integer math instead of f-string name construction and
-        # registry dict lookups per request. Category filters are fixed
+        # probe touches, flat-indexed channel-major (the mapper's flat
+        # bank order) so on_request does one list index instead of
+        # f-string name construction and registry dict lookups per
+        # request. Category filters are fixed
         # for the tracer's lifetime, so the wants() decisions hoist to
         # install time too.
         dram = simulator.config.dram
         registry = self.registry
-        self._ranks_per_channel = dram.ranks_per_channel
-        self._banks_per_rank = dram.banks_per_rank
         self._chan_reads = [
             registry.counter(f"controller.ch{c}.reads")
             for c in range(dram.channels)
@@ -303,9 +301,11 @@ class Observability:
 
         The single hottest obs entry point — called for every serviced
         request even when all trace categories are off, as
-        ``on_request(request, decoded, latency, hit)``: the controller
-        passes the values it already holds as locals so the probe
-        re-reads almost nothing through attributes. Everything else it
+        ``on_request(core_id, is_write, arrival_ns, latency, row,
+        physical_row, flat_bank, hit)``: both the controller and the
+        block kernel pass scalars they already hold as locals
+        (``flat_bank`` is the mapper's channel-major flat bank index),
+        so the probe reads nothing through attributes. Everything else it
         needs is captured as closure locals: the flat per-bank counter
         tables install() built (pure integer indexing, no name
         formatting), the latency buffer's bound append, and — when the
@@ -317,8 +317,6 @@ class Observability:
         requests. Read latencies accumulate in a plain list and fold
         into the histogram in blocks (observe_bulk).
         """
-        ranks_per_channel = self._ranks_per_channel
-        banks_per_rank = self._banks_per_rank
         bank_access = self._bank_access
         bank_hits = self._bank_hits
         bank_key_args = self._bank_key_args
@@ -340,11 +338,11 @@ class Observability:
         if trace_exec:
             buffer_event = event_buffer.append
 
-        def on_request(request, decoded, latency, hit) -> None:
-            flat = (
-                decoded.channel * ranks_per_channel + decoded.rank
-            ) * banks_per_rank + decoded.bank
-            if request.is_write:
+        def on_request(
+            core_id, is_write, arrival_ns, latency, row, physical_row,
+            flat, hit,
+        ) -> None:
+            if is_write:
                 name = "W"
             else:
                 name = "R"
@@ -355,12 +353,11 @@ class Observability:
             if hit:
                 bank_hits[flat].value += 1
             if trace_exec:
-                core_id = request.core_id
                 buffer_event(
                     (
                         "exec",
                         name,
-                        request.arrival_ns,
+                        arrival_ns,
                         core_tracks[core_id]
                         if core_id < n_tracks
                         else ("core", core_id),
@@ -368,8 +365,7 @@ class Observability:
                         # Flat exec-quad args shorthand: one immutable
                         # tuple, no GC-tracked objects retained (see
                         # RAW_EVENT_FIELDS).
-                        (decoded.row, request.physical_row,
-                         bank_key_args[flat], hit),
+                        (row, physical_row, bank_key_args[flat], hit),
                         "X",
                     )
                 )

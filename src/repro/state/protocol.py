@@ -33,7 +33,7 @@ STATE_SCHEMA_VERSION = 1
 class NotSnapshotable(RuntimeError):
     """Raised when live state cannot be captured as a checkpoint.
 
-    Examples: a ``Core`` driving a raw record iterator instead of a
+    Examples: a ``Core`` fed a packed record iterator instead of a
     snapshotable block source, or a controller with writes still
     buffered in an ablation-only write queue.
     """

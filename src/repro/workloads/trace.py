@@ -81,12 +81,11 @@ def records_to_blocks(
 class TraceChunks:
     """A columnar trace: an iterator of :data:`TRACE_BLOCK_DTYPE` blocks.
 
-    This is the type the simulator's fast path dispatches on: a
-    :class:`~repro.mem.cpu.Core` handed a ``TraceChunks`` consumes whole
-    blocks (with batched address decode) instead of one record at a
-    time. It also iterates as plain :class:`TraceRecord` tuples, so any
-    scalar consumer — including a ``Core`` without a mapper — sees the
-    identical stream.
+    This is the simulator's trace type: a :class:`~repro.mem.cpu.Core`
+    consumes whole blocks (with batched address decode) and wraps any
+    other record iterable as ``TraceChunks(records_to_blocks(...))``.
+    It also iterates as plain :class:`TraceRecord` tuples, so any
+    scalar consumer sees the identical stream.
     """
 
     __slots__ = ("_blocks",)

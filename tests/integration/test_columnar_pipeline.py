@@ -2,8 +2,9 @@
 
 The columnar front end (chunked traces, batched decode, pooled
 requests) must be invisible in the results: a run fed ``.records()``
-iterators and one fed ``.chunks()`` blocks produce identical
-``SimMetrics.to_dict()`` — for the baseline and under RRS, and with
+iterators (packed into blocks by ``Core``) and one fed ``.chunks()``
+blocks produce identical ``SimMetrics.to_dict()``, equal to the scalar
+oracle loop's — for the baseline and under RRS, and with
 the protocol sanitizer (``REPRO_SANITIZE=1``) and the env-driven
 tracer (``REPRO_TRACE``) composed on top, proving the fast path does
 not bypass the sanitizer or tracer hooks.
@@ -56,10 +57,14 @@ def _run(kind: str, columnar: bool):
 
 
 @pytest.mark.parametrize("kind", ["baseline", "rrs"])
-def test_columnar_matches_scalar_bit_identically(kind):
-    assert _run(kind, columnar=True).to_dict() == _run(
-        kind, columnar=False
-    ).to_dict()
+def test_columnar_matches_scalar_bit_identically(kind, monkeypatch):
+    columnar = _run(kind, columnar=True).to_dict()
+    records = _run(kind, columnar=False).to_dict()
+    monkeypatch.setattr(
+        "repro.mem.system.run_block_loop", SystemSimulator._run_scalar
+    )
+    oracle = _run(kind, columnar=True).to_dict()
+    assert columnar == records == oracle
 
 
 @pytest.mark.parametrize("kind", ["baseline", "rrs"])

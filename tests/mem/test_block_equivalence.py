@@ -4,10 +4,10 @@ Two oracle pairs are exercised here by their registered names:
 
 * ``run_block_loop`` (the fused system loop) against
   ``SystemSimulator._run_scalar`` — full simulations with
-  ``SystemSimulator._block_loop_eligible`` patched to False for the
-  oracle side, across every mitigation and representative workloads,
-  with and without ``REPRO_SANITIZE=1`` and with the fault model
-  attached;
+  ``repro.mem.system.run_block_loop`` patched to the oracle for the
+  scalar side, across every mitigation and representative workloads,
+  with and without ``REPRO_SANITIZE=1``, with the fault model attached,
+  and traced (metrics, ring events and JSONL bytes must all match);
 * ``MemoryController.service_block`` against scalar ``service`` —
   fuzzed synthetic blocks driven through twin controllers, covering
   coupled and uncoupled arrival cadences, writes, and row misses.
@@ -34,20 +34,25 @@ from repro.dram.device import Channel
 from repro.mem.block_kernel import run_block_loop, same_bank_runs
 from repro.mem.controller import MemoryController
 from repro.mem.request import MemoryRequest
-from repro.mem.system import SystemSimulator
+from repro.mem.system import SystemConfig, SystemSimulator
 from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 from repro.mitigations.graphene import Graphene
 from repro.mitigations.none import NoMitigation
 from repro.mitigations.para import PARA
 from repro.mitigations.trr import TargetedRowRefresh
-from repro.obs import Observability, RingSink, Tracer
+from repro.obs import JsonlSink, Observability, RingSink, Tracer
 from repro.state.checkpoint import CheckpointSession
 from repro.workloads.suites import get_workload
+from repro.workloads.synthetic import SyntheticTraceGenerator
 from repro.workloads.trace import TRACE_BLOCK_DTYPE
 
 SCALE = 32
 RECORDS = 1_000
 CORES = 2
+# Traced runs: short enough windows, and long enough a run, for hmmer
+# to cross a refresh window with RRS swaps and BlockHammer throttles.
+TRACED_SCALE = 128
+TRACED_RECORDS = 8_000
 
 
 def _dram(scale=SCALE):
@@ -80,9 +85,10 @@ def _factories(scale=SCALE):
 
 
 def _run(factory, block, workload="hmmer", records=RECORDS, seed=0,
-         env=None, with_faults=False, checkpoints=None):
+         env=None, with_faults=False, checkpoints=None, obs=None,
+         scale=SCALE):
     """One run on the kernel (``block``) or on the scalar oracle loop,
-    selected by patching the eligibility check."""
+    selected by patching the system's loop name."""
     saved = {}
     for key, value in (env or {}).items():
         saved[key] = os.environ.get(key)
@@ -91,21 +97,21 @@ def _run(factory, block, workload="hmmer", records=RECORDS, seed=0,
         with contextlib.ExitStack() as stack:
             if not block:
                 stack.enter_context(
-                    mock.patch.object(
-                        SystemSimulator,
-                        "_block_loop_eligible",
-                        lambda self, cores: False,
+                    mock.patch(
+                        "repro.mem.system.run_block_loop",
+                        SystemSimulator._run_scalar,
                     )
                 )
             return run_workload(
                 get_workload(workload),
                 factory(),
-                scale=SCALE,
+                scale=scale,
                 records_per_core=records,
                 cores=CORES,
                 seed=seed,
                 with_faults=with_faults,
                 checkpoints=checkpoints,
+                obs=obs,
             )
     finally:
         for key, value in saved.items():
@@ -165,22 +171,92 @@ class TestBlockLoopEquivalence:
         scalar = _run(factory, block=False, seed=seed)
         assert block.to_dict() == scalar.to_dict()
 
-    def test_dispatch_follows_the_run_setup(self, monkeypatch):
-        """The dispatch itself, with no env variable set: untraced runs
-        take run_block_loop whether or not they are checkpointed, and a
-        traced run takes _run_scalar."""
+    @pytest.mark.parametrize(
+        "name,categories,sanitize",
+        [
+            ("none", None, "0"),
+            ("rrs", None, "0"),
+            ("trr", None, "0"),
+            ("blockhammer", None, "0"),
+            ("rrs", None, "1"),
+            # exec only: no command observers, so the banks stay inline.
+            ("rrs", ("exec",), "0"),
+        ],
+        ids=["none", "rrs", "trr", "blockhammer", "rrs-sanitized",
+             "rrs-exec-only"],
+    )
+    def test_traced_run_bit_identical(
+        self, name, categories, sanitize, monkeypatch
+    ):
+        """A traced kernel run reproduces the traced oracle exactly:
+        metrics with the exported registry (per-window series
+        included), and every event in order."""
+        monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+        runs = []
+        for block in (True, False):
+            sink = RingSink()
+            obs = Observability(
+                tracer=Tracer(sink, categories=categories), export_extra=True
+            )
+            metrics = _run(
+                _factories(TRACED_SCALE)[name],
+                block,
+                records=TRACED_RECORDS,
+                obs=obs,
+                scale=TRACED_SCALE,
+            )
+            events = [event.to_dict() for event in sink.events]
+            runs.append((metrics.to_dict(), events, sink.dropped))
+        assert runs[0] == runs[1]
+        metrics, events, dropped = runs[0]
+        assert dropped == 0 and events
+        # Each case exercises the probes it is here for.
+        assert metrics["windows"] >= 1
+        if name == "rrs":
+            assert metrics["swaps"] > 0
+        if name == "trr":
+            assert metrics["victim_refreshes"] > 0
+        if name == "blockhammer":
+            assert metrics["throttle_delay_ns"] > 0
+
+    def test_traced_jsonl_bytes_identical(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        texts = []
+        for block in (True, False):
+            path = tmp_path / f"trace-{block}.jsonl"
+            obs = Observability(
+                tracer=Tracer(JsonlSink(str(path))), export_extra=True
+            )
+            _run(
+                _factories(TRACED_SCALE)["rrs"],
+                block,
+                records=TRACED_RECORDS,
+                obs=obs,
+                scale=TRACED_SCALE,
+            )
+            obs.close()
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1]
+        assert texts[0]
+
+    def test_every_run_takes_the_kernel(self, monkeypatch):
+        """SystemSimulator.run has one loop: untraced, checkpointed,
+        traced and record-iterator runs all go through run_block_loop,
+        and the scalar oracle never runs outside tests."""
         for key in ("REPRO_TRACE", "REPRO_SANITIZE"):
             monkeypatch.delenv(key, raising=False)
+
+        def oracle(self, cores, budget=None):
+            raise AssertionError("a production run called _run_scalar")
+
+        monkeypatch.setattr(SystemSimulator, "_run_scalar", oracle)
         calls = []
-        monkeypatch.setattr(
-            SystemSimulator,
-            "_run_scalar",
-            lambda self, cores, budget=None: calls.append("scalar") or 0,
-        )
-        monkeypatch.setattr(
-            "repro.mem.system.run_block_loop",
-            lambda sim, cores, budget=None: calls.append("block") or 0,
-        )
+
+        def kernel(sim, cores, budget=None):
+            calls.append(budget)
+            return run_block_loop(sim, cores, budget)
+
+        monkeypatch.setattr("repro.mem.system.run_block_loop", kernel)
 
         def run(**kwargs):
             run_workload(
@@ -191,13 +267,29 @@ class TestBlockLoopEquivalence:
                 cores=CORES,
                 **kwargs,
             )
-            return calls.pop()
 
-        assert run() == "block"
-        assert run(checkpoints=CheckpointSession(every=100)) == "block"
-        obs = Observability(tracer=Tracer(RingSink()), export_extra=False)
-        assert run(obs=obs) == "scalar"
-        assert calls == []
+        run()
+        assert calls == [None]
+        # Segments of 100 up to each cut; the last one finds the traces
+        # exhausted at 400 requests.
+        run(checkpoints=CheckpointSession(every=100))
+        assert calls[1:] == [100] * 5
+        run(obs=Observability(tracer=Tracer(RingSink()), export_extra=False))
+        assert calls[6:] == [None]
+
+        dram = _dram()
+        sim = SystemSimulator(
+            SystemConfig(dram=dram, cores=CORES), mitigation=NoMitigation()
+        )
+        spec = get_workload("hmmer")
+        traces = [
+            SyntheticTraceGenerator(
+                spec, core_id=core_id, cores=CORES, config=dram
+            ).records(200)
+            for core_id in range(CORES)
+        ]
+        assert sim.run(traces, workload="hmmer").accesses == 200 * CORES
+        assert calls[7:] == [None]
 
     @pytest.mark.parametrize("name", ["none", "rrs"])
     def test_unaligned_cuts_match_plain_run(self, name):

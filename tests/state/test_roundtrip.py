@@ -200,6 +200,19 @@ def test_roundtrip_matches_either_loop(monkeypatch):
     assert _run("rrs") == plain == baseline == resumed
 
 
+def test_truncated_controller_states_are_refused():
+    """A checkpoint missing one controller's state must not restore the
+    remaining controllers and run on with the last one fresh."""
+    _, captured = _scratch("none")
+    reloaded = SimCheckpoint.loads(captured[257])
+    payload = list(reloaded.payload)
+    assert len(payload[2]) > 1
+    payload[2] = payload[2][:-1]  # (cores, channels, controllers, ...)
+    reloaded.payload = tuple(payload)
+    with pytest.raises(ValueError, match="controller count"):
+        _run("none", CheckpointSession(resume=reloaded))
+
+
 def test_sanitizer_presence_mismatch_is_refused(monkeypatch):
     monkeypatch.delenv("REPRO_SANITIZE", raising=False)
     _, captured = _scratch("none")
@@ -214,9 +227,7 @@ def test_sanitizer_presence_mismatch_is_refused(monkeypatch):
 # ----------------------------------------------------------------------
 def _force_scalar_loop(patch) -> None:
     """Send runs to the scalar oracle loop instead of the block kernel."""
-    patch.setattr(
-        SystemSimulator, "_block_loop_eligible", lambda self, cores: False
-    )
+    patch.setattr("repro.mem.system.run_block_loop", SystemSimulator._run_scalar)
 
 
 def _cut_digests(name: str, scalar: bool, with_faults: bool, monkeypatch):
@@ -236,20 +247,31 @@ def _cut_digests(name: str, scalar: bool, with_faults: bool, monkeypatch):
     return metrics, captured
 
 
+# (mitigation, REPRO_SANITIZE, fault model, REPRO_TRACE_SINK or "" for
+# untraced).
 LOOP_CASES = [
-    (name, sanitize, with_faults)
+    (name, sanitize, with_faults, "")
     for name in MITIGATIONS
     for sanitize, with_faults in (("0", False), ("1", False), ("0", True))
-] + [("rrs", "1", True)]
+] + [("rrs", "1", True, ""), ("rrs", "0", False, "ring")]
 
 
-@pytest.mark.parametrize("name,sanitize,with_faults", LOOP_CASES)
+@pytest.mark.parametrize(
+    "name,sanitize,with_faults,trace_sink",
+    LOOP_CASES,
+    ids=["-".join(str(value) for value in case if value != "")
+         for case in LOOP_CASES],
+)
 def test_cuts_are_byte_identical_across_loops(
-    name, sanitize, with_faults, monkeypatch
+    name, sanitize, with_faults, trace_sink, monkeypatch
 ):
     """The kernel and the scalar loop leave identical state between
-    requests, so every cut's JSON is the same whichever loop ran."""
+    requests, so every cut's JSON is the same whichever loop ran,
+    traced or not."""
     monkeypatch.setenv("REPRO_SANITIZE", sanitize)
+    if trace_sink:
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE_SINK", trace_sink)
     kernel, kernel_cuts = _cut_digests(name, False, with_faults, monkeypatch)
     scalar, scalar_cuts = _cut_digests(name, True, with_faults, monkeypatch)
     assert kernel == scalar
