@@ -52,6 +52,7 @@ HOT_PATH_CLASSES: Dict[str, str] = {
     "Bank": "dram/bank.py",
     "BankTimingState": "dram/timing.py",
     "AccessOutcome": "dram/timing.py",
+    "CountingBloomFilter": "track/bloom.py",
 }
 
 # numpy.random BitGenerator constructors (RRS010 seed policing).

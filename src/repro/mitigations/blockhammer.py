@@ -59,10 +59,10 @@ class BlockHammer(Mitigation):
     credit is ``blacklist_threshold - (sum of filter maxima)``, which
     collapses to zero as soon as any counter nears the threshold —
     exactly the attack regime the bench measures — and recomputing the
-    bound costs a full ``max_counter()`` scan of both Bloom tables per
-    flush. Batching therefore degenerated to scalar replay plus that
-    overhead (0.95x in BENCH_mitigation.json); ``batch_scope = None``
-    routes every activation straight to the scalar path instead.
+    bound costs a scan of every counter in both Bloom tables per flush.
+    Batching therefore degenerated to scalar replay plus that overhead
+    (0.95x in BENCH_mitigation.json); ``batch_scope = None`` routes
+    every activation straight to the scalar path instead.
     """
 
     name = "BlockHammer"
@@ -78,6 +78,7 @@ class BlockHammer(Mitigation):
         self._filters: Dict[BankKey, Tuple[CountingBloomFilter, CountingBloomFilter]] = {}
         self._last_act_ns: Dict[Tuple[BankKey, int], float] = {}
         self._half = 0
+        self._bloom_memos: Dict[tuple, dict] = {}  # all banks share one per seed
 
     # ------------------------------------------------------------------
     # Mitigation interface
@@ -139,41 +140,29 @@ class BlockHammer(Mitigation):
         self.blacklisted_delays = blacklisted_delays
         self._half = half
         self._filters = {}
-        for key, (active_state, shadow_state) in filters.items():
-            active, shadow = (
-                CountingBloomFilter(
-                    self.config.counters, self.config.hashes, seed=self.config.seed
-                ),
-                CountingBloomFilter(
-                    self.config.counters,
-                    self.config.hashes,
-                    seed=self.config.seed + 1,
-                ),
-            )
-            active.restore_state(active_state)
-            shadow.restore_state(shadow_state)
-            self._filters[key] = (active, shadow)
+        for key, states in filters.items():
+            self._filters[key] = self._new_filters()
+            for bloom, bloom_state in zip(self._filters[key], states):
+                bloom.restore_state(bloom_state)
         self._last_act_ns = dict(last_act)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _new_filters(self) -> Tuple[CountingBloomFilter, CountingBloomFilter]:
+        """A fresh (active, shadow) pair; the shadow hashes with seed + 1."""
+        config, memos = self.config, self._bloom_memos
+        return (
+            CountingBloomFilter(config.counters, config.hashes, config.seed, memos),
+            CountingBloomFilter(config.counters, config.hashes, config.seed + 1, memos),
+        )
+
     def _bank_filters(
         self, bank_key: BankKey
     ) -> Tuple[CountingBloomFilter, CountingBloomFilter]:
         filters = self._filters.get(bank_key)
         if filters is None:
-            filters = (
-                CountingBloomFilter(
-                    self.config.counters, self.config.hashes, seed=self.config.seed
-                ),
-                CountingBloomFilter(
-                    self.config.counters,
-                    self.config.hashes,
-                    seed=self.config.seed + 1,
-                ),
-            )
-            self._filters[bank_key] = filters
+            filters = self._filters[bank_key] = self._new_filters()
         return filters
 
     def _estimate(self, bank_key: BankKey, row: int) -> int:

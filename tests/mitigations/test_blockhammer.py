@@ -76,6 +76,19 @@ def test_bloom_collateral_damage():
     assert innocent_blacklisted
 
 
+def test_bloom_memo_is_shared_across_banks():
+    """Every bank's filters share one row-index memo per seed, so the
+    memo holds each distinct row once per seed, not once per bank."""
+    bh = _blockhammer()
+    banks = [(0, 0, bank) for bank in range(16)]
+    for bank in banks:
+        for row in range(50):
+            bh.on_activation(bank, row, row, 0.0)
+            bh.pre_activate_delay_ns(bank, row, 0.0)
+    assert len(bh._filters) == len(banks)
+    assert sorted(len(memo) for memo in bh._bloom_memos.values()) == [50, 50]
+
+
 def test_window_rotation_preserves_history():
     bh = _blockhammer(blacklist=8)
     for i in range(8):
