@@ -384,7 +384,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
-CHECKPOINT_DEFENSES = ("none", "rrs", "blockhammer", "ideal-vfm")
+CHECKPOINT_DEFENSES = ("none", "rrs", "graphene", "blockhammer", "ideal-vfm")
 
 
 def _checkpoint_spec(defense: str, scale: int, t_rh: int):
@@ -402,6 +402,10 @@ def _checkpoint_spec(defense: str, scale: int, t_rh: int):
         return MitigationSpec.none()
     if defense == "rrs":
         return MitigationSpec.rrs(t_rh=t_rh, scale=scale)
+    if defense == "graphene":
+        return MitigationSpec.graphene(
+            t_rh=scaled_t_rh, window_activations=dram.acts_per_refresh_window
+        )
     if defense == "blockhammer":
         return MitigationSpec.blockhammer(
             t_rh=scaled_t_rh,

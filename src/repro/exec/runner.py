@@ -78,7 +78,7 @@ from repro.exec.cache import CACHE_SALT, ResultCache, canonical_key
 from repro.exec.specs import MitigationSpec
 from repro.mem.cpu import CoreConfig
 from repro.mem.metrics import SimMetrics
-from repro.mem.system import SystemConfig
+from repro.mem.system import SystemConfig, sanitize_requested
 
 _ENV_JOBS = "REPRO_JOBS"
 _ENV_PROGRESS = "REPRO_PROGRESS"
@@ -227,8 +227,10 @@ class SweepPoint:
         are seeded independently of length, so two points differing
         only in record count replay bit-identical prefixes and may fork
         from each other's warm-start checkpoints. It *includes*
-        ``REPRO_SANITIZE``, which the result cache rightly ignores:
-        sanitizer state is part of a checkpoint.
+        whether the sanitizer is on, which the result cache rightly
+        ignores: sanitizer state is part of a checkpoint. The flag is
+        folded in as ``"1"``/``"0"`` so every spelling that leaves the
+        sanitizer off (unset, ``0``, ``true``) names one stream.
         """
         from repro.state.checkpoint import run_fingerprint
 
@@ -240,7 +242,7 @@ class SweepPoint:
                 "system": asdict(point.system_config()),
                 "seed": point.seed,
                 "env": {
-                    "REPRO_SANITIZE": os.environ.get("REPRO_SANITIZE", "0"),
+                    "REPRO_SANITIZE": "1" if sanitize_requested() else "0",
                 },
             }
         )

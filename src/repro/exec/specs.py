@@ -14,6 +14,8 @@ The built-in kinds cover every sweep the paper's figures run:
 * ``rrs`` — Randomized Row-Swap, derived via
   ``RRSConfig.for_threshold(t_rh).scaled(scale)`` exactly as the
   Figure 6/10/11 harnesses do.
+* ``graphene`` — Misra-Gries victim refresh (Figure 11), the other
+  user of the array-state Hot-Row Tracker.
 * ``blockhammer`` — Bloom-blacklist throttling (Figure 11).
 * ``ideal_vfm`` — the oracle victim-focused comparator (Table 7).
 
@@ -82,6 +84,13 @@ class MitigationSpec:
         return cls.make("rrs", **params)
 
     @classmethod
+    def graphene(cls, t_rh: int, window_activations: int) -> "MitigationSpec":
+        """Graphene with an already-scaled ``t_rh`` and window length."""
+        return cls.make(
+            "graphene", t_rh=t_rh, window_activations=window_activations
+        )
+
+    @classmethod
     def blockhammer(
         cls, t_rh: int, blacklist_threshold: int, window_ns: int
     ) -> "MitigationSpec":
@@ -145,6 +154,12 @@ def _build_rrs(params: Mapping[str, Any]) -> Mitigation:
     return RandomizedRowSwap(config, DRAMConfig().scaled(scale))
 
 
+def _build_graphene(params: Mapping[str, Any]) -> Mitigation:
+    from repro.mitigations.graphene import Graphene
+
+    return Graphene(**params)
+
+
 def _build_blockhammer(params: Mapping[str, Any]) -> Mitigation:
     from repro.mitigations.blockhammer import BlockHammer, BlockHammerConfig
 
@@ -159,5 +174,6 @@ def _build_ideal_vfm(params: Mapping[str, Any]) -> Mitigation:
 
 register_mitigation("none", _build_none)
 register_mitigation("rrs", _build_rrs)
+register_mitigation("graphene", _build_graphene)
 register_mitigation("blockhammer", _build_blockhammer)
 register_mitigation("ideal_vfm", _build_ideal_vfm)

@@ -27,6 +27,17 @@ from repro.mitigations.none import NoMitigation
 from repro.workloads.trace import TraceRecord
 
 
+def sanitize_requested() -> bool:
+    """:func:`repro.check.sanitizer.sanitize_enabled`, the one reading
+    of ``REPRO_SANITIZE``. An unset or empty variable answers without
+    importing :mod:`repro.check`, which ordinary runs never load."""
+    if not os.environ.get("REPRO_SANITIZE"):
+        return False
+    from repro.check.sanitizer import sanitize_enabled
+
+    return sanitize_enabled()
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Knobs for one full-system run (defaults = paper Table 2)."""
@@ -76,7 +87,7 @@ class SystemSimulator:
         # validated online, raising ProtocolViolation on the first
         # break. Imported lazily so the hot path never pays for it.
         self.sanitizer = None
-        if os.environ.get("REPRO_SANITIZE", "0") == "1":
+        if sanitize_requested():
             from repro.check.sanitizer import ProtocolSanitizer
 
             self.sanitizer = ProtocolSanitizer(config.dram).install(self)

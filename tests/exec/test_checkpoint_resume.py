@@ -23,6 +23,7 @@ from repro.exec.runner import (
     execute_point,
     max_retries_from_env,
 )
+from repro.mem.system import sanitize_requested
 from repro.obs.ledger import STATUS_FAILED, STATUS_RETRIED, RunLedger
 from repro.workloads.trace import TRACE_BLOCK_RECORDS
 
@@ -142,6 +143,22 @@ def test_checkpoint_every_default_is_block_aligned(monkeypatch):
     monkeypatch.setenv("REPRO_CHECKPOINT_EVERY", "nope")
     with pytest.raises(ValueError, match="REPRO_CHECKPOINT_EVERY"):
         _checkpoint_every(100)
+
+
+def test_fingerprint_folds_the_sanitizer_flag_not_its_spelling(monkeypatch):
+    """Every spelling that leaves the simulator unsanitized (unset,
+    ``0``, ``true``) names one stream; only ``1`` turns the sanitizer
+    on, and only it moves the fingerprint."""
+    point = _point()
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+    unset = point.checkpoint_fingerprint()
+    for raw in ("0", "true"):
+        monkeypatch.setenv("REPRO_SANITIZE", raw)
+        assert not sanitize_requested()
+        assert point.checkpoint_fingerprint() == unset
+    monkeypatch.setenv("REPRO_SANITIZE", "1")
+    assert sanitize_requested()
+    assert point.checkpoint_fingerprint() != unset
 
 
 class _FakeCheckpoint:

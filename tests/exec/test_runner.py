@@ -13,6 +13,7 @@ from repro.exec import (
 )
 from repro.exec.runner import PointOutcome, default_jobs
 from repro.mitigations.blockhammer import BlockHammer
+from repro.mitigations.graphene import Graphene
 from repro.mitigations.ideal_vfm import IdealVictimRefresh
 from repro.mitigations.none import NoMitigation
 
@@ -33,7 +34,9 @@ def _point(workload="stream", records=800, cores=2, **overrides):
 # Mitigation specs
 # ----------------------------------------------------------------------
 def test_builtin_kinds_registered():
-    assert set(registered_kinds()) >= {"none", "rrs", "blockhammer", "ideal_vfm"}
+    assert set(registered_kinds()) >= {
+        "none", "rrs", "graphene", "blockhammer", "ideal_vfm",
+    }
 
 
 def test_spec_builders_produce_right_types():
@@ -51,6 +54,20 @@ def test_spec_builders_produce_right_types():
         MitigationSpec.ideal_vfm(t_rh=150, mitigation_threshold=12).build(),
         IdealVictimRefresh,
     )
+
+
+def test_graphene_spec_matches_the_cli_defense():
+    """The 'graphene' builder reproduces `repro run ... graphene`."""
+    from repro.cli import _build_defense, _checkpoint_spec
+    from repro.dram.config import DRAMConfig
+
+    built = _checkpoint_spec("graphene", scale=32, t_rh=4800).build()
+    manual = _build_defense("graphene", 32, 4800, DRAMConfig().rows_per_bank)
+    assert isinstance(built, Graphene)
+    for name in (
+        "t_rh", "threshold", "window_activations", "blast_radius", "rows_per_bank",
+    ):
+        assert getattr(built, name) == getattr(manual, name)
 
 
 def test_rrs_spec_matches_manual_derivation():

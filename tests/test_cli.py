@@ -406,6 +406,16 @@ def test_checkpoint_verify_roundtrip_passes(capsys):
     assert "bit-identical" in out
 
 
+def test_checkpoint_verify_graphene_passes(capsys):
+    """Graphene, the other array-state tracker user, round-trips too."""
+    code = main(
+        ["checkpoint", "hmmer", "graphene",
+         "--records", "2000", "--cores", "2", "--verify"]
+    )
+    assert code == 0
+    assert "PASS" in capsys.readouterr().out
+
+
 def test_checkpoint_verify_unreachable_cut_fails(capsys):
     code = main(
         ["checkpoint", "stream", "none",

@@ -33,9 +33,13 @@ def _snapshot(tracker):
 class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_eviction_free_streams_are_bit_identical(self, seed):
-        """At Invariant-1 sizing the spill counter never catches the
-        minimum, so no eviction (hence no tie-break) fires and every
-        observation matches the set-based reference exactly."""
+        """On a stream whose distinct rows fit the table, the spill
+        counter never catches the minimum, so no eviction (hence no
+        tie-break) fires and every observation matches the set-based
+        reference exactly. Invariant-1 sizing alone does not promise
+        that: at scale 32 and T_RH 4800 (seed 0) the Figure-6 RRS
+        trackers evict 0 times on hmmer, 83,618 on bzip2 and 19,731 on
+        comm5, and TestVictimQueue covers that regime."""
         rows = _stream(seed, length=3000, universe=200)
         array = ArrayMisraGries.sized_for(len(rows), threshold=12)
         reference = MisraGriesTracker.sized_for(len(rows), threshold=12)
@@ -168,3 +172,139 @@ class TestTieBreak:
         assert 1 not in tracker
         assert 2 in tracker
         assert tracker.estimate(4) == 2  # spill + 1
+
+
+class _LinearScanMisraGries(ArrayMisraGries):
+    """The victim rule the heap replaced, kept as an oracle: scan the
+    whole minimum-count bucket for its lowest slot on every eviction.
+    Everything else is inherited, so any divergence is the queue's."""
+
+    __slots__ = ("evictions",)
+
+    def __init__(self, entries: int) -> None:
+        super().__init__(entries)
+        self.evictions = 0
+
+    def _pop_victim(self) -> int:
+        self.evictions += 1
+        return min(self._buckets[self._min_count])
+
+
+def _eviction_stream(seed: int, entries: int, length: int):
+    """A full-table stream: a hot set half the table's size over a cold
+    universe four times the table's size, so the spill counter keeps
+    catching the minimum and minimum buckets drain slot by slot."""
+    return _stream(seed, length=length, universe=4 * entries, hot=max(1, entries // 2))
+
+
+def _assert_same_tracker(tracker, oracle):
+    assert tracker.spill == oracle.spill
+    assert tracker._min_count == oracle._min_count
+    assert tracker.snapshot_state() == oracle.snapshot_state()
+
+
+def _mid_drain(entries: int, seed: int):
+    """A tracker stopped between two evictions from one minimum bucket
+    (the queue is live and partly popped), the oracle in the same
+    state, and the rest of their stream."""
+    rows = _eviction_stream(seed, entries, length=60 * entries)
+    tracker = ArrayMisraGries(entries)
+    oracle = _LinearScanMisraGries(entries)
+    for cursor, row in enumerate(rows):
+        assert tracker.observe(row) == oracle.observe(row)
+        # The queue exists only once the current minimum has lost a
+        # victim; stop while at least two of its slots are still live.
+        if (
+            tracker._victims is not None
+            and tracker._victims_count == tracker._min_count
+            and len(tracker._buckets[tracker._min_count]) >= 2
+        ):
+            return tracker, oracle, rows[cursor + 1 :]
+    raise AssertionError("stream never drained a minimum bucket")
+
+
+class TestVictimQueue:
+    @pytest.mark.parametrize("entries", [8, 64, 1024])
+    def test_scalar_observe_matches_linear_scan(self, entries):
+        """Every eviction takes the same slot as the bucket scan, so
+        every estimate and the whole table agree, across a window
+        rollover too."""
+        rows = _eviction_stream(entries, entries, length=20 * entries)
+        tracker = ArrayMisraGries(entries)
+        oracle = _LinearScanMisraGries(entries)
+        for cursor, row in enumerate(rows):
+            if cursor == len(rows) // 2:
+                tracker.reset()
+                oracle.reset()
+            assert tracker.observe(row) == oracle.observe(row)
+            assert tracker.spill == oracle.spill
+            assert tracker._min_count == oracle._min_count
+        _assert_same_tracker(tracker, oracle)
+        assert oracle.evictions > 2 * entries
+
+    @pytest.mark.parametrize("entries", [8, 64, 1024])
+    def test_observe_block_matches_linear_scan(self, entries):
+        """The batched path replays structural events through the same
+        queue: random chunk sizes, compared at every chunk boundary."""
+        rows = _eviction_stream(entries + 1, entries, length=20 * entries)
+        tracker = ArrayMisraGries(entries)
+        oracle = _LinearScanMisraGries(entries)
+        rng = random.Random(entries)
+        cursor = 0
+        while cursor < len(rows):
+            size = rng.randrange(1, 2 * entries)
+            chunk = rows[cursor : cursor + size]
+            tracker.observe_block(chunk, len(chunk))
+            oracle.observe_block(chunk, len(chunk))
+            _assert_same_tracker(tracker, oracle)
+            cursor += size
+        assert oracle.evictions > 2 * entries
+
+    def test_an_add_to_the_mirrored_bucket_drops_the_queue(self):
+        """Observations never add to the minimum bucket (full-table
+        installs land above it), so this drives the internal mutators
+        directly: a slot re-installed at the minimum count below the
+        queue's live slots must be the next victim."""
+        tracker = ArrayMisraGries(entries=4)
+        oracle = _LinearScanMisraGries(entries=4)
+        for row in (1, 2, 3, 4, 5, 6):  # fill at 1, spill, evict slot 0
+            assert tracker.observe(row) == oracle.observe(row)
+        assert tracker._victims is not None
+        for state in (tracker, oracle):
+            state._evict(0)  # slot 0 held row 6 at count 2
+            state._install(9, 1, reuse_slot=0)  # ... now at the minimum
+        assert tracker._pop_victim() == oracle._pop_victim() == 0
+
+    @pytest.mark.parametrize("entries", [8, 64])
+    def test_restore_mid_drain_matches_uninterrupted(self, entries):
+        """The queue is not snapshotted: a tracker restored halfway
+        through a minimum bucket, into a fresh tracker or over one
+        with a live queue of its own, picks the same victims as the
+        tracker that was never interrupted."""
+        tracker, oracle, rest = _mid_drain(entries, seed=3)
+        fresh = ArrayMisraGries(entries)
+        fresh.restore_state(tracker.snapshot_state())
+        stale, _, _ = _mid_drain(entries, seed=4)
+        stale.restore_state(tracker.snapshot_state())
+        assert fresh._victims is None and stale._victims is None
+        for row in rest[:500]:
+            expected = oracle.observe(row)
+            assert tracker.observe(row) == expected
+            assert fresh.observe(row) == expected
+            assert stale.observe(row) == expected
+        assert oracle.evictions > 0
+        for restored in (tracker, fresh, stale):
+            _assert_same_tracker(restored, oracle)
+
+    @pytest.mark.parametrize("entries", [8, 64])
+    def test_reset_mid_drain_matches_fresh_tracker(self, entries):
+        """A window rollover with a live queue drops it: the reset
+        tracker then evicts exactly like a fresh one."""
+        tracker, _, rest = _mid_drain(entries, seed=5)
+        tracker.reset()
+        assert tracker._victims is None
+        oracle = _LinearScanMisraGries(entries)
+        for row in rest[:500]:
+            assert tracker.observe(row) == oracle.observe(row)
+        assert oracle.evictions > 0
+        _assert_same_tracker(tracker, oracle)
