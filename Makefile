@@ -16,12 +16,13 @@ check:  ## repro.check pillars: linter, salt drift, sanitizer smoke, flow engine
 check-flow:  ## flow engine only: entropy, oracle drift, hot-path, snapshot coverage
 	$(PYTHON) -m repro check --flow
 
-checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (untraced kernel cuts, an RRS cut after 24,512 tracker evictions, then traced kernel cuts on the ring and default JSONL sinks)
+checkpoint-smoke:  ## checkpoint round-trip oracle on tiny runs (untraced kernel cuts, an RRS cut after 24,512 tracker evictions, then traced kernel cuts on the ring and default JSONL sinks, the last an 8-core hmmer/rrs cut mid-block)
 	$(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 	$(PYTHON) -m repro checkpoint stream none --records 600 --cores 2 --verify
 	$(PYTHON) -m repro checkpoint bzip2 rrs --records 60000 --cores 8 --verify
 	REPRO_TRACE=1 REPRO_TRACE_SINK=ring $(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
 	REPRO_TRACE=1 REPRO_TRACE_FILE=/dev/null $(PYTHON) -m repro checkpoint stream rrs --records 600 --cores 2 --verify
+	REPRO_TRACE=1 REPRO_TRACE_FILE=/dev/null $(PYTHON) -m repro checkpoint hmmer rrs --records 8192 --cores 8 --verify
 
 bench:  ## regenerate every table & figure (slow; honours REPRO_JOBS)
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q

@@ -29,72 +29,60 @@ shared :class:`~repro.check.callgraph.ProjectGraph`:
 * :mod:`repro.check.hotpath` — advisory allocation lint (HOT001-003)
   over everything reachable from the batched activation path,
   baselined in ``flow_baseline.json``.
+
+The package ``__init__`` imports nothing up front (PEP 562): each name
+below loads its pillar on first access, so a run that only needs the
+sanitizer (``import repro.check.sanitizer``) never pays for the linter,
+call graph, oracle, salt, hot-path or entropy modules.
 """
 
-from repro.check.callgraph import ProjectGraph
-from repro.check.entropy import check_entropy
-from repro.check.findings import (
-    Finding,
-    Reporter,
-    RULES,
-    SEVERITIES,
-    apply_suppressions,
-    error_count,
-    rule_severity,
-    severity_counts,
-    sort_findings,
-)
-from repro.check.hotpath import check_hotpath, load_baseline, write_baseline
-from repro.check.oracle import (
-    check_oracles,
-    discover_pairs,
-    write_oracle_manifest,
-)
-from repro.check.linter import DeterminismLinter, lint_paths, lint_tree
-from repro.check.salt import (
-    SaltDrift,
-    check_salt,
-    compute_manifest,
-    simulation_relevant_files,
-    write_manifest,
-)
-from repro.check.sanitizer import (
-    BankCommandChecker,
-    ProtocolSanitizer,
-    ProtocolViolation,
-    audit_rit,
-    sanitize_enabled,
-)
+from __future__ import annotations
 
-__all__ = [
-    "RULES",
-    "SEVERITIES",
-    "BankCommandChecker",
-    "DeterminismLinter",
-    "Finding",
-    "ProjectGraph",
-    "ProtocolSanitizer",
-    "ProtocolViolation",
-    "Reporter",
-    "SaltDrift",
-    "apply_suppressions",
-    "audit_rit",
-    "check_entropy",
-    "check_hotpath",
-    "check_oracles",
-    "check_salt",
-    "compute_manifest",
-    "discover_pairs",
-    "error_count",
-    "lint_paths",
-    "lint_tree",
-    "load_baseline",
-    "rule_severity",
-    "sanitize_enabled",
-    "severity_counts",
-    "simulation_relevant_files",
-    "sort_findings",
-    "write_baseline",
-    "write_manifest",
-    "write_oracle_manifest",
-]
+import importlib
+from typing import Any
+
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "ProjectGraph": "callgraph",
+    "check_entropy": "entropy",
+    "Finding": "findings",
+    "Reporter": "findings",
+    "RULES": "findings",
+    "SEVERITIES": "findings",
+    "apply_suppressions": "findings",
+    "error_count": "findings",
+    "rule_severity": "findings",
+    "severity_counts": "findings",
+    "sort_findings": "findings",
+    "check_hotpath": "hotpath",
+    "load_baseline": "hotpath",
+    "write_baseline": "hotpath",
+    "check_oracles": "oracle",
+    "discover_pairs": "oracle",
+    "write_oracle_manifest": "oracle",
+    "DeterminismLinter": "linter",
+    "lint_paths": "linter",
+    "lint_tree": "linter",
+    "SaltDrift": "salt",
+    "check_salt": "salt",
+    "compute_manifest": "salt",
+    "simulation_relevant_files": "salt",
+    "write_manifest": "salt",
+    "BankCommandChecker": "sanitizer",
+    "ProtocolSanitizer": "sanitizer",
+    "ProtocolViolation": "sanitizer",
+    "audit_rit": "sanitizer",
+    "sanitize_enabled": "sanitizer",
+}
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted(_EXPORTS)

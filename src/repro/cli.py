@@ -59,6 +59,34 @@ DEFENSES = (
 ATTACKS = ("single", "double", "many", "half-double")
 
 
+def _scaled_params(name: str, scale: int, t_rh: int) -> dict:
+    """The one recipe for a defense run at a ``1/scale`` epoch.
+
+    Covers the defenses whose parameters scale with the epoch and that a
+    :class:`~repro.exec.specs.MitigationSpec` can carry (graphene,
+    blockhammer, ideal-vfm): :func:`_build_defense` and
+    :func:`_checkpoint_spec` both build from it, so a checkpointed run
+    and ``repro run`` simulate the same defense. ``rows_per_bank`` stays
+    out: specs never carry it, and adding it would move cache keys.
+    """
+    dram = DRAMConfig().scaled(scale)
+    scaled_t_rh = max(12, t_rh // scale)
+    if name == "graphene":
+        return {
+            "t_rh": scaled_t_rh,
+            "window_activations": dram.acts_per_refresh_window,
+        }
+    if name == "blockhammer":
+        return {
+            "t_rh": scaled_t_rh,
+            "blacklist_threshold": max(2, 512 // scale),
+            "window_ns": dram.refresh_window_ns,
+        }
+    if name == "ideal-vfm":
+        return {"t_rh": scaled_t_rh}
+    raise ValueError(f"no scaled recipe for defense {name!r}")
+
+
 def _build_defense(name: str, scale: int, t_rh: int, rows: int):
     dram = DRAMConfig().scaled(scale)
     scaled_t_rh = max(12, t_rh // scale)
@@ -69,11 +97,7 @@ def _build_defense(name: str, scale: int, t_rh: int, rows: int):
             RRSConfig.for_threshold(t_rh, DRAMConfig()).scaled(scale), dram
         )
     if name == "graphene":
-        return Graphene(
-            t_rh=scaled_t_rh,
-            window_activations=dram.acts_per_refresh_window,
-            rows_per_bank=rows,
-        )
+        return Graphene(**_scaled_params(name, scale, t_rh), rows_per_bank=rows)
     if name == "twice":
         return TWiCe(t_rh=scaled_t_rh, window_ns=dram.refresh_window_ns, rows_per_bank=rows)
     if name == "trr":
@@ -81,15 +105,11 @@ def _build_defense(name: str, scale: int, t_rh: int, rows: int):
     if name == "para":
         return PARA.for_threshold(scaled_t_rh, rows_per_bank=rows)
     if name == "ideal-vfm":
-        return IdealVictimRefresh(t_rh=scaled_t_rh, rows_per_bank=rows)
-    if name == "blockhammer":
-        return BlockHammer(
-            BlockHammerConfig(
-                t_rh=scaled_t_rh,
-                blacklist_threshold=max(2, 512 // scale),
-                window_ns=dram.refresh_window_ns,
-            )
+        return IdealVictimRefresh(
+            **_scaled_params(name, scale, t_rh), rows_per_bank=rows
         )
+    if name == "blockhammer":
+        return BlockHammer(BlockHammerConfig(**_scaled_params(name, scale, t_rh)))
     raise ValueError(f"unknown defense {name!r}")
 
 
@@ -396,24 +416,16 @@ def _checkpoint_spec(defense: str, scale: int, t_rh: int):
     """
     from repro.exec.specs import MitigationSpec
 
-    dram = DRAMConfig().scaled(scale)
-    scaled_t_rh = max(12, t_rh // scale)
     if defense == "none":
         return MitigationSpec.none()
     if defense == "rrs":
         return MitigationSpec.rrs(t_rh=t_rh, scale=scale)
     if defense == "graphene":
-        return MitigationSpec.graphene(
-            t_rh=scaled_t_rh, window_activations=dram.acts_per_refresh_window
-        )
+        return MitigationSpec.graphene(**_scaled_params(defense, scale, t_rh))
     if defense == "blockhammer":
-        return MitigationSpec.blockhammer(
-            t_rh=scaled_t_rh,
-            blacklist_threshold=max(2, 512 // scale),
-            window_ns=dram.refresh_window_ns,
-        )
+        return MitigationSpec.blockhammer(**_scaled_params(defense, scale, t_rh))
     if defense == "ideal-vfm":
-        return MitigationSpec.ideal_vfm(t_rh=scaled_t_rh)
+        return MitigationSpec.ideal_vfm(**_scaled_params(defense, scale, t_rh))
     raise ValueError(f"unknown checkpoint defense {defense!r}")
 
 

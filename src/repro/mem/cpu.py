@@ -68,6 +68,8 @@ class Core:
         "_retire_width",
         "_rob_size",
         "_source",
+        "_source_snapshot",
+        "_anchor",
         "_mapper",
         "_bank_key_table",
         "_idx",
@@ -114,6 +116,10 @@ class Core:
         if not isinstance(trace, TraceChunks):
             trace = TraceChunks(records_to_blocks(trace))
         self._source = trace
+        # Snapshotable sources get a block anchor: their state just
+        # before the loaded block was fetched (see snapshot_state).
+        self._source_snapshot = getattr(trace, "snapshot_state", None)
+        self._anchor = None
         self._mapper = mapper
         self._bank_key_table = mapper.bank_key_table
         self._idx = -1  # first fetch pulls the first block
@@ -227,17 +233,20 @@ class Core:
 
     # ------------------------------------------------------------------
     # Snapshotable (repro.state) when the trace source is: a packed
-    # record iterator has no capturable position. The decoded block
-    # columns are snapshotted outright (re-deriving them would need the
-    # source rewound one block), and the pooled request/decoded pair is
-    # *not* — every field is overwritten before anything reads it. The
-    # cached ``_pending_issue_ns`` must travel: computing it popped
-    # satisfied ROB entries, so a restored core that recomputed it would
-    # see a different ``_outstanding`` prefix.
+    # record iterator has no capturable position. The loaded block is
+    # a pure function of the source state at its fetch, so a cut keeps
+    # that *block anchor* plus the cursor ``_idx`` instead of the
+    # decoded columns (a few hundred bytes against ~240 KB per core);
+    # restore rewinds the source to the anchor and refetches. An
+    # exhausted core has no block to keep and carries no anchor. The
+    # pooled request/decoded pair is *not* snapshotted — every field is
+    # overwritten before anything reads it. The cached
+    # ``_pending_issue_ns`` must travel: computing it popped satisfied
+    # ROB entries, so a restored core that recomputed it would see a
+    # different ``_outstanding`` prefix.
     # ------------------------------------------------------------------
     def snapshot_state(self) -> tuple:
-        source_snapshot = getattr(self._source, "snapshot_state", None)
-        if source_snapshot is None:
+        if self._source_snapshot is None:
             from repro.state.protocol import NotSnapshotable
 
             raise NotSnapshotable(
@@ -253,37 +262,61 @@ class Core:
             self._pending_issue_ns,
             self._exhausted,
             self._idx,
-            self._len,
-            [list(self._gaps), list(self._addrs), list(self._writes),
-             list(self._chans), list(self._ranks), list(self._banks),
-             list(self._rows), list(self._cols), list(self._flats)],
-            None if self._gap_block is None else self._gap_block.copy(),
-            source_snapshot(),
+            None if self._exhausted else self._anchor,
         )
 
     def restore_state(self, state: tuple) -> None:
+        """Inverse of :meth:`snapshot_state`; raises ``ValueError`` when
+        the anchor does not regenerate a block holding ``_idx``."""
         (
-            self.time_ns,
-            self.instructions_retired,
-            self._inst_issued,
+            time_ns,
+            instructions_retired,
+            inst_issued,
             outstanding,
-            self._has_pending,
-            self._pending_gap,
-            self._pending_issue_ns,
-            self._exhausted,
-            self._idx,
-            self._len,
-            columns,
-            gap_block,
-            source_state,
+            has_pending,
+            pending_gap,
+            pending_issue_ns,
+            exhausted,
+            idx,
+            anchor,
         ) = state
+        # An exhausted core never reads its block views again, so only
+        # a live core refetches its block.
+        if not exhausted:
+            if anchor is None:
+                raise ValueError(
+                    f"core {self.core_id}: a live core's cut carries no "
+                    "block anchor"
+                )
+            self._source.restore_state(anchor)
+            block = self._next_block()
+            if block is None:
+                raise ValueError(
+                    f"core {self.core_id}: the block anchor regenerates "
+                    "no block"
+                )
+            self._decode_views(block)
+            if not 0 <= idx < self._len:
+                raise ValueError(
+                    f"core {self.core_id}: cursor {idx} is outside the "
+                    f"{self._len}-record block its anchor regenerates"
+                )
+            if has_pending and pending_gap != self._gaps[idx]:
+                raise ValueError(
+                    f"core {self.core_id}: pending gap {pending_gap} is not "
+                    f"record {idx}'s gap in the regenerated block"
+                )
+        self.time_ns = time_ns
+        self.instructions_retired = instructions_retired
+        self._inst_issued = inst_issued
         self._outstanding = deque(
             (index, completion) for index, completion in outstanding
         )
-        (self._gaps, self._addrs, self._writes, self._chans, self._ranks,
-         self._banks, self._rows, self._cols, self._flats) = columns
-        self._gap_block = gap_block
-        self._source.restore_state(source_state)
+        self._has_pending = has_pending
+        self._pending_gap = pending_gap
+        self._pending_issue_ns = pending_issue_ns
+        self._exhausted = exhausted
+        self._idx = idx
 
     # ------------------------------------------------------------------
     # Internals
@@ -300,7 +333,10 @@ class Core:
 
     def _next_block(self):
         """The source's next non-empty block, or None once exhausted
-        (which also marks the core exhausted)."""
+        (which also marks the core exhausted). Records the block anchor
+        first when the source is snapshotable."""
+        if self._source_snapshot is not None:
+            self._anchor = self._source_snapshot()
         block = self._source.next_block()
         while block is not None and len(block) == 0:
             block = self._source.next_block()

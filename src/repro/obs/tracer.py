@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii as _json_str
 from collections import deque
 from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -222,6 +223,130 @@ class RingSink:
         """Rings hold no external resources."""
 
 
+# Template encoder for JsonlSink.write_batch. ``json.dumps(...,
+# sort_keys=True)`` writes keys in sorted order with ", "/": "
+# separators, ints and finite floats as their ``repr``, and strings
+# through ``encode_basestring_ascii``; the templates below spell out
+# exactly that for the two hot raw shapes, so a templated line is the
+# same bytes as the dict+dumps line. A field whose type is not exactly
+# ``int``, ``float``, ``bool`` or ``str`` (numpy scalars included), a
+# non-finite float, or a zero duration (which dumps omits) makes the
+# helper return None and the entry falls back to :func:`_dumps_line`.
+_CMD_LINE = (
+    '{"args": {"row": %r}, "cat": "dram.cmd", "name": %s, "ph": "I", '
+    '"track": %s, "ts": %r}\n'
+)
+_EXEC_LINE = (
+    '{"args": {"bank": %s, "hit": %s, "physical_row": %r, "row": %r}, '
+    '"cat": "exec", "dur": %r, "name": %s, "ph": %s, "track": %s, "ts": %r}\n'
+)
+_INF = float("inf")
+
+
+def _number_ok(value) -> bool:
+    """True for an exact int or a finite exact float (``%r`` == dumps)."""
+    kind = type(value)
+    return kind is float and -_INF < value < _INF or kind is int
+
+
+def _str_json(value, cache: Dict[str, str]) -> Optional[str]:
+    """JSON text of an exact ``str`` (memoized), else None."""
+    if type(value) is not str:
+        return None
+    text = cache.get(value)
+    if text is None:
+        text = cache[value] = _json_str(value)
+    return text
+
+
+def _tuple_json(value, cache: Dict[Tuple, Tuple[Tuple, str]]) -> Optional[str]:
+    """JSON list text of a flat tuple of exact ints/strs, else None.
+
+    Memoized by value. A hit on the very same object is trusted at
+    once; an equal tuple is re-checked first, because ``0``, ``0.0``
+    and ``False`` compare (and hash) equal but dump differently.
+    """
+    try:
+        cached = cache.get(value)
+    except TypeError:  # not hashable: a list, or a tuple holding one
+        return None
+    if cached is not None and cached[0] is value:
+        return cached[1]
+    if type(value) is not tuple:
+        return None
+    parts = []
+    for item in value:
+        kind = type(item)
+        if kind is int:
+            parts.append(repr(item))
+        elif kind is str:
+            parts.append(_json_str(item))
+        else:
+            return None
+    text = "[" + ", ".join(parts) + "]"
+    cache[value] = (value, text)
+    return text
+
+
+def _cmd_line(entry: Tuple, strings, tuples) -> Optional[str]:
+    """Template line of a raw ``dram.cmd`` 4-tuple, or None."""
+    name, ts_ns, track, row = entry
+    if type(row) is not int or not _number_ok(ts_ns):
+        return None
+    name_text = _str_json(name, strings)
+    track_text = _tuple_json(track, tuples)
+    if name_text is None or track_text is None:
+        return None
+    return _CMD_LINE % (row, name_text, track_text, ts_ns)
+
+
+def _exec_line(entry: Tuple, strings, tuples) -> Optional[str]:
+    """Template line of a raw ``exec`` 7-tuple carrying the flat
+    ``(row, physical_row, bank, hit)`` quad, or None."""
+    category, name, ts_ns, track, dur_ns, args, phase = entry
+    if category != "exec" or type(args) is not tuple or len(args) != 4:
+        return None
+    row, physical_row, bank, hit = args
+    if (
+        type(row) is not int
+        or type(physical_row) is not int
+        or not _number_ok(dur_ns)
+        or not dur_ns
+        or not _number_ok(ts_ns)
+    ):
+        return None
+    if hit is True:
+        hit_text = "true"
+    elif hit is False:
+        hit_text = "false"
+    elif type(hit) is int:
+        hit_text = repr(hit)
+    else:
+        return None
+    bank_text = (
+        repr(bank) if type(bank) is int else _tuple_json(bank, tuples)
+    )
+    name_text = _str_json(name, strings)
+    phase_text = _str_json(phase, strings)
+    track_text = _tuple_json(track, tuples)
+    if (
+        bank_text is None
+        or name_text is None
+        or phase_text is None
+        or track_text is None
+    ):
+        return None
+    return _EXEC_LINE % (
+        bank_text, hit_text, physical_row, row, dur_ns, name_text,
+        phase_text, track_text, ts_ns,
+    )
+
+
+def _dumps_line(entry) -> str:
+    """The reference line, as :meth:`JsonlSink.write` writes it."""
+    return json.dumps(_materialize(entry).to_dict(), sort_keys=True) + "\n"
+
+
 class JsonlSink:
     """Streaming sink: one JSON object per line, append-only.
 
@@ -235,6 +360,10 @@ class JsonlSink:
         self._handle = open(path, "w")
         self.received = 0
         self.dropped = 0
+        # JSON text of the names/phases and track/bank tuples seen so
+        # far: a run has a few dozen of each.
+        self._str_text: Dict[str, str] = {}
+        self._tuple_text: Dict[Tuple, Tuple[Tuple, str]] = {}
 
     def write(self, event: TraceEvent) -> None:
         self.received += 1
@@ -242,39 +371,29 @@ class JsonlSink:
         self._handle.write("\n")
 
     def write_batch(self, batch: List) -> None:
-        """Serialize a buffered batch (same line format as write())."""
+        """Serialize a buffered batch: the same bytes :meth:`write`
+        gives each event, in order, in one file write.
+
+        The two hot raw shapes are formatted from sorted-key templates
+        (:func:`_cmd_line`, :func:`_exec_line`); every other entry, and
+        any field a template cannot reproduce exactly, takes the
+        dict+``json.dumps`` line (:func:`_dumps_line`).
+        """
         self.received += len(batch)
-        dumps = json.dumps
-        write = self._handle.write
+        strings = self._str_text
+        tuples = self._tuple_text
+        lines = []
+        append = lines.append
         for entry in batch:
-            if isinstance(entry, TraceEvent):
-                out = entry.to_dict()
-            elif len(entry) == 4:
-                name, ts_ns, track, row = entry
-                out = {
-                    "cat": "dram.cmd",
-                    "name": name,
-                    "ts": ts_ns,
-                    "track": list(track),
-                    "ph": PHASE_INSTANT,
-                    "args": {"row": row},
-                }
-            else:
-                category, name, ts_ns, track, dur_ns, args, phase = entry
-                args = _raw_args(args)
-                out = {
-                    "cat": category,
-                    "name": name,
-                    "ts": ts_ns,
-                    "track": list(track),
-                    "ph": phase,
-                }
-                if dur_ns:
-                    out["dur"] = dur_ns
-                if args:
-                    out["args"] = dict(args)
-            write(dumps(out, sort_keys=True))
-            write("\n")
+            line = None
+            if type(entry) is tuple:
+                size = len(entry)
+                if size == 4:
+                    line = _cmd_line(entry, strings, tuples)
+                elif size == 7:
+                    line = _exec_line(entry, strings, tuples)
+            append(_dumps_line(entry) if line is None else line)
+        self._handle.write("".join(lines))
 
     @property
     def events(self) -> List[TraceEvent]:

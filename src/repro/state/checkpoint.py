@@ -10,7 +10,9 @@ serviced at the cut, and the pure-data payload assembled by
 :class:`CheckpointStore` persists checkpoints with the result cache's
 conventions: rooted under the cache dir (``$REPRO_CACHE_DIR`` or
 ``~/.cache/repro``), sharded by fingerprint prefix, written atomically
-(temp file + ``os.replace``), corrupt entries treated as misses. One
+(temp file + ``os.replace``), corrupt entries treated as misses —
+every file is sealed with the SHA-256 of its body, so a truncated or
+bit-flipped cut fails to load instead of resuming a different state. One
 fingerprint directory holds every persisted cut of that configuration,
 which is what lets a longer sweep point *fork* from a shorter sibling's
 warm-start checkpoint: the fingerprint deliberately excludes the
@@ -25,6 +27,7 @@ counts to cut at, and where saved checkpoints go.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
@@ -37,6 +40,12 @@ from repro.state.protocol import STATE_SCHEMA_VERSION
 from repro.state.serial import decode_state, encode_state
 
 _ENV_ENABLE = "REPRO_CHECKPOINT"
+
+# A serialized cut is sealed: its JSON body is wrapped with the SHA-256
+# of the body's bytes, so a flipped bit anywhere is a load error rather
+# than a silently different resume.
+_SEAL_HEAD = '{"sha256": "'
+_SEAL_BODY = '", "body": '
 
 
 def checkpoint_enabled_by_env() -> bool:
@@ -97,11 +106,29 @@ class SimCheckpoint:
         )
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
+        """Sealed strict-JSON text: ``{"sha256": <hex>, "body": <cut>}``,
+        the digest taken over the body's exact bytes."""
+        body = json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        return f"{_SEAL_HEAD}{digest}{_SEAL_BODY}{body}}}"
 
     @classmethod
     def loads(cls, text: str) -> "SimCheckpoint":
-        return cls.from_dict(json.loads(text))
+        """Inverse of :meth:`dumps`; a truncated or altered cut raises
+        ``ValueError`` before any of it is decoded."""
+        digest_end = len(_SEAL_HEAD) + 64
+        body_start = digest_end + len(_SEAL_BODY)
+        if not (
+            text.startswith(_SEAL_HEAD)
+            and text.startswith(_SEAL_BODY, digest_end)
+            and text.endswith("}")
+        ):
+            raise ValueError("not a sealed checkpoint")
+        body = text[body_start:-1]
+        digest = hashlib.sha256(body.encode("ascii")).hexdigest()
+        if digest != text[len(_SEAL_HEAD):digest_end]:
+            raise ValueError("checkpoint digest does not match its body")
+        return cls.from_dict(json.loads(body))
 
 
 class CheckpointStore:
@@ -152,7 +179,7 @@ class CheckpointStore:
         path = self._path(fingerprint, serviced)
         try:
             checkpoint = SimCheckpoint.loads(path.read_text())
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError, KeyError, TypeError):
             return None
         if (
             checkpoint.fingerprint != fingerprint

@@ -56,17 +56,45 @@ def test_spec_builders_produce_right_types():
     )
 
 
-def test_graphene_spec_matches_the_cli_defense():
-    """The 'graphene' builder reproduces `repro run ... graphene`."""
+# The canonical spec of each scaled CLI defense at 1/32, T_RH 4800:
+# pinned, because it is folded into cache keys and checkpoint
+# fingerprints.
+SCALED_SPECS = {
+    "graphene": {
+        "kind": "graphene",
+        "params": {"t_rh": 150, "window_activations": 42450},
+    },
+    "blockhammer": {
+        "kind": "blockhammer",
+        "params": {"blacklist_threshold": 16, "t_rh": 150, "window_ns": 2000000},
+    },
+    "ideal-vfm": {
+        "kind": "ideal_vfm",
+        "params": {"mitigation_threshold": 0, "t_rh": 150},
+    },
+}
+
+
+@pytest.mark.parametrize("defense", sorted(SCALED_SPECS))
+def test_scaled_spec_matches_the_cli_defense(defense):
+    """A checkpoint spec builds the defense `repro run` builds, from the
+    same recipe, and its canonical form has not moved."""
     from repro.cli import _build_defense, _checkpoint_spec
     from repro.dram.config import DRAMConfig
 
-    built = _checkpoint_spec("graphene", scale=32, t_rh=4800).build()
-    manual = _build_defense("graphene", 32, 4800, DRAMConfig().rows_per_bank)
-    assert isinstance(built, Graphene)
-    for name in (
-        "t_rh", "threshold", "window_activations", "blast_radius", "rows_per_bank",
-    ):
+    spec = _checkpoint_spec(defense, scale=32, t_rh=4800)
+    assert spec.canonical() == SCALED_SPECS[defense]
+    built = spec.build()
+    manual = _build_defense(defense, 32, 4800, DRAMConfig().rows_per_bank)
+    assert type(built) is type(manual)
+    if isinstance(built, BlockHammer):
+        assert built.config == manual.config
+        return
+    assert isinstance(built, (Graphene, IdealVictimRefresh))
+    names = ["t_rh", "threshold", "blast_radius", "rows_per_bank"]
+    if isinstance(built, Graphene):
+        names.append("window_activations")
+    for name in names:
         assert getattr(built, name) == getattr(manual, name)
 
 

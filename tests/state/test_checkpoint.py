@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.state.checkpoint import (
     CheckpointSession,
@@ -99,6 +103,71 @@ def test_store_mismatched_body_is_a_miss(tmp_path):
         (tmp_path / fp[:2] / fp / "100.json").read_text()
     )
     assert store.get(other, 100) is None
+
+
+# ----------------------------------------------------------------------
+# Trust boundary: damaged or foreign cuts are misses, never resumes
+# ----------------------------------------------------------------------
+FP = "cd" * 32
+
+
+def _store_with_cuts(root):
+    """A store holding valid cuts at 100 and 200; returns (store, path
+    of the 200 cut, its text)."""
+    store = CheckpointStore(root=root)
+    for serviced in (100, 200):
+        store.put(_checkpoint(serviced=serviced, fingerprint=FP))
+    path = root / FP[:2] / FP / "200.json"
+    return store, path, path.read_text()
+
+
+def _assert_200_is_a_miss(store):
+    assert store.get(FP, 200) is None
+    fallback = store.latest(FP)
+    assert fallback is not None and fallback.serviced == 100
+
+
+def test_sealed_cut_names_its_digest():
+    text = _checkpoint().dumps()
+    data = json.loads(text)
+    assert sorted(data) == ["body", "sha256"]
+    assert data["body"]["schema_version"] == STATE_SCHEMA_VERSION
+    assert SimCheckpoint.loads(text).serviced == 100
+
+
+@pytest.mark.parametrize("sealed", [True, False], ids=["sealed", "unsealed"])
+def test_schema_1_cut_is_a_miss(tmp_path, sealed):
+    """A cut from the schema-1 store (unsealed, block columns inline) or
+    one relabelled schema 1 is a miss; latest falls back to the next
+    valid cut."""
+    store, path, _ = _store_with_cuts(tmp_path)
+    old = _checkpoint(serviced=200, fingerprint=FP)
+    old.schema_version = 1
+    if sealed:
+        path.write_text(old.dumps())
+    else:
+        path.write_text(json.dumps(old.to_dict(), sort_keys=True))
+    _assert_200_is_a_miss(store)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_truncated_cut_is_a_miss(tmp_path_factory, data):
+    store, path, text = _store_with_cuts(tmp_path_factory.mktemp("ckpt"))
+    keep = data.draw(st.integers(min_value=0, max_value=len(text) - 1))
+    path.write_text(text[:keep])
+    _assert_200_is_a_miss(store)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_bit_flipped_cut_is_a_miss(tmp_path_factory, data):
+    store, path, text = _store_with_cuts(tmp_path_factory.mktemp("ckpt"))
+    raw = bytearray(text.encode("ascii"))
+    offset = data.draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    raw[offset] ^= 1 << data.draw(st.integers(min_value=0, max_value=7))
+    path.write_bytes(bytes(raw))
+    _assert_200_is_a_miss(store)
 
 
 def test_disabled_store_is_inert(tmp_path):

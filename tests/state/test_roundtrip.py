@@ -18,6 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,6 +221,87 @@ def test_sanitizer_presence_mismatch_is_refused(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     with pytest.raises(ValueError, match="REPRO_SANITIZE"):
         _run("none", CheckpointSession(resume=reloaded))
+
+
+def _with_core_field(checkpoint, core: int, field: int, value):
+    """A copy of ``checkpoint`` with one field of one core's state
+    replaced (core state: ..., ``_idx`` at 8, block anchor at 9)."""
+    payload = list(checkpoint.payload)
+    cores = list(payload[0])
+    state = list(cores[core])
+    state[field] = value
+    cores[core] = tuple(state)
+    payload[0] = cores
+    return SimCheckpoint(
+        fingerprint=checkpoint.fingerprint,
+        serviced=checkpoint.serviced,
+        payload=tuple(payload),
+        meta=dict(checkpoint.meta),
+    )
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    core=st.integers(0, CORES - 1),
+    past=st.one_of(st.integers(RECORDS, 10 * RECORDS), st.integers(-50, -1)),
+)
+def test_cursor_outside_the_regenerated_block_is_refused(core, past):
+    """A cut whose cursor lies outside the block its anchor regenerates
+    raises before a single request is resumed."""
+    _, captured = _scratch("none")
+    reloaded = SimCheckpoint.loads(captured[257])
+    tampered = _with_core_field(reloaded, core, 8, past)
+    with pytest.raises(ValueError, match="outside the"):
+        _run("none", CheckpointSession(resume=tampered))
+
+
+def test_live_core_without_an_anchor_is_refused():
+    _, captured = _scratch("none")
+    tampered = _with_core_field(SimCheckpoint.loads(captured[257]), 0, 9, None)
+    with pytest.raises(ValueError, match="no block anchor"):
+        _run("none", CheckpointSession(resume=tampered))
+
+
+def test_cut_keeps_anchors_not_blocks():
+    """Live cores carry a block anchor and cursor, never decoded block
+    columns; exhausted cores carry no anchor."""
+    _, captured = _scratch("none")
+    for cut, live in ((257, True), (TOTAL, False)):
+        for state in SimCheckpoint.loads(captured[cut]).payload[0]:
+            assert len(state) == 10
+            assert state[7] is not live  # _exhausted
+            assert (state[9] is not None) is live
+            # The only sequence is the ROB's outstanding-load list.
+            assert [
+                index for index, field in enumerate(state)
+                if isinstance(field, (list, np.ndarray))
+            ] == [3]
+
+
+def test_hmmer_rrs_eight_core_cut_is_small():
+    """A mid-block hmmer/rrs cut of an 8-core run (the `checkpoint`
+    verb's default geometry) encodes to well under 200 KB; with the
+    decoded blocks inline it was ~2 MB."""
+    from repro.cli import _checkpoint_spec
+    from repro.exec.runner import SweepPoint, execute_point
+
+    point = SweepPoint(
+        workload="hmmer",
+        mitigation=_checkpoint_spec("rrs", 32, 4800),
+        scale=32,
+        records_per_core=8192,
+        cores=8,
+        t_rh=4800.0,
+    )
+    sizes = {}
+    execute_point(
+        point,
+        checkpoints=CheckpointSession(
+            cuts=(30_001,),
+            sink=lambda ckpt: sizes.setdefault(ckpt.serviced, len(ckpt.dumps())),
+        ),
+    )
+    assert 0 < sizes[30_001] < 200_000
 
 
 # ----------------------------------------------------------------------
